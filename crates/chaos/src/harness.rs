@@ -33,10 +33,7 @@ use cote_common::failpoint::{self, FaultSpec, FireMode, SiteStats};
 use cote_common::fxhash::fxhash64;
 use cote_common::{ColRef, TableId, TableRef};
 use cote_gateway::{BreakerState, Gateway, GatewayConfig, GatewayCore};
-use cote_net::{
-    EventConfig, EventServer, NetClient, NetClientConfig, NetConfig, NetServer, WireRequest,
-    WireResponse,
-};
+use cote_net::{EventConfig, EventServer, NetClient, NetClientConfig, WireRequest, WireResponse};
 use cote_optimizer::{Mode as OptMode, OptimizerConfig};
 use cote_query::{Query, QueryBlockBuilder};
 use cote_service::{CoteService, ServiceConfig};
@@ -256,7 +253,7 @@ fn client_cfg() -> NetClientConfig {
 /// One backend: its service (for queue gauges) and its front-end.
 struct BackendNode {
     svc: Arc<CoteService>,
-    server: NetServer,
+    server: EventServer,
 }
 
 struct Cluster {
@@ -269,8 +266,8 @@ struct Cluster {
 }
 
 impl Cluster {
-    /// Build 2 backends (threaded fronts, scope "backend") and a gateway
-    /// (event-loop front, scope "gateway"). Pooling is disabled on the
+    /// Build 2 backends (scope "backend") and a gateway (scope "gateway"),
+    /// each behind its own event-loop front. Pooling is disabled on the
     /// gateway so fault-hit counts can't depend on pool state; pooled-conn
     /// staleness has its own pinned test in `cote-gateway`.
     fn start(seed: u64) -> Result<Cluster, String> {
@@ -287,11 +284,11 @@ impl Cluster {
                 cote(),
                 backend_service_cfg(),
             ));
-            let server = NetServer::bind(
+            let server = EventServer::bind(
                 Arc::clone(&svc),
                 Arc::clone(&queries),
                 "127.0.0.1:0",
-                NetConfig::default(),
+                EventConfig::default(),
             )
             .map_err(|e| format!("bind backend: {e}"))?;
             addrs.push(server.local_addr());
@@ -321,7 +318,7 @@ impl Cluster {
             gateway.handler(),
             gateway.registry(),
             listener,
-            EventConfig::from_net(&NetConfig::default()),
+            EventConfig::default(),
         )
         .map_err(|e| format!("start gateway front: {e}"))?;
         failpoint::set_thread_scope("");

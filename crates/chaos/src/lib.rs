@@ -13,7 +13,7 @@
 //!  harness client ──▶ gateway (event-loop front, scope "gateway")
 //!       │ serial,          │ ring + breakers + retry budget
 //!       │ paced            ▼
-//!       │            cote serve × 2 (threaded fronts, scope "backend")
+//!       │            cote serve × 2 (event-loop fronts, scope "backend")
 //!       │                  │ injected resets / corruption / delays / BUSY
 //!       ▼                  ▼
 //!   oracle diff      failpoint registry (seeded, counted)

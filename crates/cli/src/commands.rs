@@ -37,17 +37,18 @@ USAGE:
                                       capped at B bytes (0 = unlimited) with
                                       a final trace_truncated marker event
   cote serve <workload> [--listen ADDR] [--trace FILE [--trace-max-bytes B]]
-             [--event-loop [--loops N] [--max-conns N]]
+             [--loops N] [--max-conns N] [--drain-ms M]
                                       estimation daemon driven by stdin
                                       ('metrics [json]' dumps the registry);
                                       --listen also serves the wire protocol
                                       (PING/ESTIMATE/ADMIT/METRICS) and HTTP
                                       (GET /metrics, /healthz, POST /estimate)
-                                      on ADDR (port 0 = ephemeral, printed);
-                                      --event-loop swaps the handler pool for
-                                      the epoll/poll readiness front-end
+                                      on ADDR (port 0 = ephemeral, printed)
+                                      from N epoll/poll event loops, shedding
+                                      connections past --max-conns with BUSY
   cote gateway --backend ADDR [--backend ADDR ..] [--listen ADDR]
-               [--event-loop] [--vnodes N] [--probe-ms M]
+               [--vnodes N] [--probe-ms M] [--loops N] [--max-conns N]
+               [--drain-ms M]
                                       consistent-hash sharding front: routes
                                       ESTIMATE/ADMIT by statement fingerprint
                                       across cote-serve backends (cache
@@ -67,9 +68,9 @@ USAGE:
                      [--workers N] [--cache N] [--deadline-ms M] [--seed S]
                                       closed-loop service benchmark
   cote bench-net --workload W --rps R [--duration S] [--clients N]
-                 [--connections N] [--json FILE] [--event-loop]
-                 [--addr HOST:PORT | --listen ADDR] [--handlers N]
-                 [--pending-conns N] [--drain-ms M]
+                 [--connections N] [--json FILE]
+                 [--addr HOST:PORT | --listen ADDR] [--loops N]
+                 [--max-conns N] [--drain-ms M]
                                       open-loop benchmark over real TCP
                                       sockets (self-hosts a server unless
                                       --addr targets a running one);

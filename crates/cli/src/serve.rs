@@ -4,8 +4,8 @@
 use crate::commands::quick_cote;
 use cote_common::{CoteError, Result};
 use cote_net::{
-    DrainReport, EventConfig, EventServer, FrameError, LineReader, NetBenchConfig, NetClientConfig,
-    NetConfig, NetServer, MAX_LINE_BYTES,
+    EventConfig, EventServer, FrameError, LineReader, NetBenchConfig, NetClientConfig,
+    MAX_LINE_BYTES,
 };
 use cote_optimizer::OptimizerConfig;
 use cote_query::Query;
@@ -23,7 +23,8 @@ struct ServeArgs {
     clients: usize,
     seed: u64,
     cfg: ServiceConfig,
-    net: NetConfig,
+    /// Event-loop front-end knobs (`--loops`, `--max-conns`, `--drain-ms`).
+    net: EventConfig,
     /// `--listen ADDR`: also serve TCP/HTTP on this address.
     listen: Option<String>,
     /// `--addr HOST:PORT`: bench an already-running server instead of
@@ -33,14 +34,6 @@ struct ServeArgs {
     trace: Option<String>,
     /// `--trace-max-bytes B`: cap the trace file (0 = unlimited).
     trace_max_bytes: u64,
-    /// `--event-loop`: serve with the readiness-poller front-end instead
-    /// of the thread-per-connection pool.
-    event_loop: bool,
-    /// `--loops N`: event-loop threads (event-loop mode only).
-    loops: usize,
-    /// `--max-conns N`: open-connection cap override (event-loop mode;
-    /// defaults to handlers + pending-conns).
-    max_conns: Option<usize>,
     /// `--connections N`: total TCP connections a bench run opens
     /// (defaults to --clients, i.e. no churn).
     connections: Option<usize>,
@@ -59,14 +52,11 @@ fn parse_args(args: &[String]) -> Result<ServeArgs> {
     let mut clients = 8;
     let mut seed = 42;
     let mut cfg = ServiceConfig::default();
-    let mut net = NetConfig::default();
+    let mut net = EventConfig::default();
     let mut listen = None;
     let mut addr = None;
     let mut trace = None;
     let mut trace_max_bytes = 0u64;
-    let mut event_loop = false;
-    let mut loops = 2usize;
-    let mut max_conns = None;
     let mut connections = None;
     let mut json = None;
     let mut it = args.iter();
@@ -124,34 +114,23 @@ fn parse_args(args: &[String]) -> Result<ServeArgs> {
                     .parse()
                     .map_err(|_| bad("--trace-max-bytes needs a byte count".into()))?
             }
-            "--handlers" => {
-                net.handlers = value("--handlers")?
-                    .parse()
-                    .map_err(|_| bad("--handlers needs an integer".into()))?
-            }
-            "--pending-conns" => {
-                net.pending_conns = value("--pending-conns")?
-                    .parse()
-                    .map_err(|_| bad("--pending-conns needs an integer".into()))?
-            }
             "--drain-ms" => {
                 let ms: u64 = value("--drain-ms")?
                     .parse()
                     .map_err(|_| bad("--drain-ms needs milliseconds".into()))?;
                 net.drain_deadline = Duration::from_millis(ms);
             }
-            "--event-loop" => event_loop = true,
             "--loops" => {
-                loops = value("--loops")?
+                let n: usize = value("--loops")?
                     .parse()
-                    .map_err(|_| bad("--loops needs an integer".into()))?
+                    .map_err(|_| bad("--loops needs an integer".into()))?;
+                net.loops = n.max(1);
             }
             "--max-conns" => {
-                max_conns = Some(
-                    value("--max-conns")?
-                        .parse()
-                        .map_err(|_| bad("--max-conns needs an integer".into()))?,
-                )
+                let n: usize = value("--max-conns")?
+                    .parse()
+                    .map_err(|_| bad("--max-conns needs an integer".into()))?;
+                net.max_conns = n.max(1);
             }
             "--connections" => {
                 connections = Some(
@@ -179,58 +158,22 @@ fn parse_args(args: &[String]) -> Result<ServeArgs> {
         addr,
         trace,
         trace_max_bytes,
-        event_loop,
-        loops: loops.max(1),
-        max_conns,
         connections,
         json,
     })
 }
 
-/// Either serving front-end, behind one start/shutdown surface so `serve`
-/// and `bench-net` treat `--event-loop` as a pure transport swap.
-enum FrontEnd {
-    Threaded(NetServer),
-    Event(EventServer),
-}
-
-impl FrontEnd {
-    fn bind(
-        a: &ServeArgs,
-        svc: Arc<CoteService>,
-        queries: Arc<Vec<Query>>,
-        listen: &str,
-    ) -> Result<FrontEnd> {
-        if a.event_loop {
-            let mut cfg = EventConfig::from_net(&a.net);
-            cfg.loops = a.loops;
-            if let Some(n) = a.max_conns {
-                cfg.max_conns = n.max(1);
-            }
-            let server = EventServer::bind(svc, queries, listen, cfg)
-                .map_err(|e| bad(format!("bind {listen}: {e}")))?;
-            eprintln!("event-loop front-end: {} loops", a.loops);
-            Ok(FrontEnd::Event(server))
-        } else {
-            let server = NetServer::bind(svc, queries, listen, a.net.clone())
-                .map_err(|e| bad(format!("bind {listen}: {e}")))?;
-            Ok(FrontEnd::Threaded(server))
-        }
-    }
-
-    fn local_addr(&self) -> SocketAddr {
-        match self {
-            FrontEnd::Threaded(s) => s.local_addr(),
-            FrontEnd::Event(s) => s.local_addr(),
-        }
-    }
-
-    fn shutdown(self) -> DrainReport {
-        match self {
-            FrontEnd::Threaded(s) => s.shutdown(),
-            FrontEnd::Event(s) => s.shutdown(),
-        }
-    }
+/// Serve `svc` over the event-loop front-end on `listen`.
+fn bind_server(
+    a: &ServeArgs,
+    svc: Arc<CoteService>,
+    queries: Arc<Vec<Query>>,
+    listen: &str,
+) -> Result<EventServer> {
+    let server = EventServer::bind(svc, queries, listen, a.net.clone())
+        .map_err(|e| bad(format!("bind {listen}: {e}")))?;
+    eprintln!("event-loop front-end: {} loops", a.net.loops);
+    Ok(server)
 }
 
 fn start_service(w: &Workload, cfg: ServiceConfig) -> Result<CoteService> {
@@ -288,8 +231,8 @@ fn check_gauge_drained(svc: &CoteService) -> Result<()> {
 /// the size-capped writer (`--trace-max-bytes`, 0 = unlimited). Shutdown
 /// gracefully drains network connections and queued estimates, then
 /// writes a final metrics dump (the stdin protocol's stand-in for
-/// dump-on-SIGTERM). Both front-ends read lines through the same
-/// length-capped reader, so no input can allocate unboundedly.
+/// dump-on-SIGTERM). Stdin and the network both split lines with the same
+/// length-capped framing, so no input can allocate unboundedly.
 pub fn serve(args: &[String]) -> Result<()> {
     let mut a = parse_args(args)?;
     cote_obs::set_tracing(a.trace.is_some());
@@ -318,7 +261,7 @@ pub fn serve(args: &[String]) -> Result<()> {
         };
     let server = match &a.listen {
         Some(addr) => {
-            let server = FrontEnd::bind(&a, Arc::clone(&svc), Arc::clone(&queries), addr)?;
+            let server = bind_server(&a, Arc::clone(&svc), Arc::clone(&queries), addr)?;
             // Exact line the CI smoke job (and humans) scrape the port from.
             eprintln!("listening on {}", server.local_addr());
             Some(server)
@@ -531,7 +474,7 @@ pub fn bench_net(args: &[String]) -> Result<()> {
     let svc = Arc::new(start_service(&a.workload, a.cfg.clone())?);
     let queries = Arc::new(std::mem::take(&mut a.workload.queries));
     let listen = a.listen.clone().unwrap_or_else(|| "127.0.0.1:0".into());
-    let server = FrontEnd::bind(&a, Arc::clone(&svc), queries, &listen)?;
+    let server = bind_server(&a, Arc::clone(&svc), queries, &listen)?;
     let addr = server.local_addr();
     eprintln!(
         "benching {} arrivals over {:?} against self-hosted {addr}: {} clients, {} connections...",
@@ -589,6 +532,21 @@ mod tests {
         assert!(parse_args(&args(&["--rps", "50"])).is_err());
         assert!(parse_args(&args(&["linear-s", "--nope"])).is_err());
         assert!(parse_args(&args(&["linear-s", "--rps"])).is_err());
+        // The removed thread-per-connection front-end's flags.
+        for flag in [
+            &["--event-loop"][..],
+            &["--handlers", "2"],
+            &["--pending-conns", "8"],
+        ] {
+            let mut v = vec!["linear-s"];
+            v.extend_from_slice(flag);
+            let err = parse_args(&args(&v)).err().expect("removed flag must fail");
+            assert!(
+                err.to_string()
+                    .contains(&format!("unknown flag '{}'", flag[0])),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -597,17 +555,11 @@ mod tests {
             "linear-s",
             "--listen",
             "127.0.0.1:0",
-            "--handlers",
-            "2",
-            "--pending-conns",
-            "8",
             "--drain-ms",
             "750",
         ]))
         .unwrap();
         assert_eq!(a.listen.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(a.net.handlers, 2);
-        assert_eq!(a.net.pending_conns, 8);
         assert_eq!(a.net.drain_deadline, Duration::from_millis(750));
         assert!(a.addr.is_none());
         let a = parse_args(&args(&["linear-s", "--addr", "127.0.0.1:7071"])).unwrap();
@@ -650,7 +602,6 @@ mod tests {
     fn parse_event_loop_and_bench_flags() {
         let a = parse_args(&args(&[
             "linear-s",
-            "--event-loop",
             "--loops",
             "3",
             "--max-conns",
@@ -661,20 +612,20 @@ mod tests {
             "/tmp/bench.json",
         ]))
         .unwrap();
-        assert!(a.event_loop);
-        assert_eq!(a.loops, 3);
-        assert_eq!(a.max_conns, Some(99));
+        assert_eq!(a.net.loops, 3);
+        assert_eq!(a.net.max_conns, 99);
         assert_eq!(a.connections, Some(500));
         assert_eq!(a.json.as_deref(), Some("/tmp/bench.json"));
         let a = parse_args(&args(&["linear-s"])).unwrap();
-        assert!(!a.event_loop);
+        assert_eq!(a.net.loops, EventConfig::default().loops);
+        assert_eq!(a.net.max_conns, EventConfig::default().max_conns);
         assert!(a.connections.is_none());
     }
 
     #[test]
-    fn bench_net_event_loop_small_run() {
-        // Same end-to-end smoke as the threaded run, through the readiness
-        // poller, with connection churn (more connections than clients).
+    fn bench_net_self_hosted_small_run() {
+        // End-to-end over loopback sockets at a tiny scale, with connection
+        // churn (more connections than clients).
         bench_net(&args(&[
             "linear-s",
             "--rps",
@@ -685,30 +636,8 @@ mod tests {
             "2",
             "--workers",
             "2",
-            "--event-loop",
             "--connections",
             "8",
-            "--drain-ms",
-            "2000",
-        ]))
-        .unwrap();
-    }
-
-    #[test]
-    fn bench_net_self_hosted_small_run() {
-        // End-to-end over loopback sockets at a tiny scale.
-        bench_net(&args(&[
-            "linear-s",
-            "--rps",
-            "150",
-            "--duration",
-            "0.3",
-            "--clients",
-            "2",
-            "--workers",
-            "2",
-            "--handlers",
-            "2",
             "--drain-ms",
             "2000",
         ]))

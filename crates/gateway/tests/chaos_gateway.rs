@@ -3,7 +3,7 @@
 //! restart, the per-request retry budget, and probe flapping via the
 //! `gw.probe.fail` failpoint.
 //!
-//! Backends here are hand-rolled socket stubs (not `NetServer`) so a test
+//! Backends here are hand-rolled socket stubs (not `EventServer`) so a test
 //! can close a specific accepted connection at a specific protocol moment
 //! — the one thing a real front-end never offers.
 

@@ -6,10 +6,7 @@ use cote::{Cote, TimeModel};
 use cote_catalog::{Catalog, ColumnDef, TableDef};
 use cote_common::{ColRef, TableId, TableRef};
 use cote_gateway::{Gateway, GatewayConfig};
-use cote_net::{
-    EventConfig, EventServer, HttpRequest, NetClient, NetConfig, NetServer, WireHandler,
-    WireResponse,
-};
+use cote_net::{EventConfig, EventServer, HttpRequest, NetClient, WireHandler, WireResponse};
 use cote_obs::Registry;
 use cote_query::{Query, QueryBlockBuilder};
 use cote_service::{CoteService, ServiceConfig};
@@ -50,14 +47,14 @@ impl WireHandler for OkBackend {
     }
 }
 
-fn serve_stub(handler: Arc<dyn WireHandler>) -> (NetServer, SocketAddr, Registry) {
+fn serve_stub(handler: Arc<dyn WireHandler>) -> (EventServer, SocketAddr, Registry) {
     let registry = Registry::new();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let server = NetServer::start_with(
+    let server = EventServer::start_with(
         handler,
         &registry,
         listener,
-        NetConfig {
+        EventConfig {
             drain_deadline: Duration::from_millis(300),
             ..Default::default()
         },
@@ -93,11 +90,11 @@ fn busy_backend_fails_over_and_exhaustion_degrades_to_busy() {
         probe_interval: Duration::from_millis(100),
         ..Default::default()
     });
-    let front = NetServer::start_with(
+    let front = EventServer::start_with(
         gw.handler(),
         gw.registry(),
         TcpListener::bind("127.0.0.1:0").unwrap(),
-        NetConfig::default(),
+        EventConfig::default(),
     )
     .unwrap();
     wait_backends_up(&gw, 2);
@@ -171,7 +168,7 @@ fn fixture() -> (Catalog, Vec<Query>) {
     (cat, queries)
 }
 
-fn backend() -> (NetServer, SocketAddr, Arc<CoteService>) {
+fn backend() -> (EventServer, SocketAddr, Arc<CoteService>) {
     let (cat, queries) = fixture();
     let cote = Cote::new(
         cote_optimizer::OptimizerConfig::high(cote_optimizer::Mode::Serial),
@@ -193,11 +190,11 @@ fn backend() -> (NetServer, SocketAddr, Arc<CoteService>) {
         ..Default::default()
     };
     let svc = Arc::new(CoteService::start(cat, cote, cfg));
-    let server = NetServer::bind(
+    let server = EventServer::bind(
         Arc::clone(&svc),
         Arc::new(queries),
         "127.0.0.1:0",
-        NetConfig {
+        EventConfig {
             drain_deadline: Duration::from_millis(300),
             ..Default::default()
         },
@@ -269,12 +266,11 @@ fn dead_backend_is_detected_and_routed_around() {
         probe_interval: Duration::from_millis(100),
         ..Default::default()
     });
-    // Event-loop front-end over the gateway handler: the tentpole combo.
     let front = EventServer::start_with(
         gw.handler(),
         gw.registry(),
         TcpListener::bind("127.0.0.1:0").unwrap(),
-        EventConfig::from_net(&NetConfig::default()),
+        EventConfig::default(),
     )
     .unwrap();
     wait_backends_up(&gw, 2);

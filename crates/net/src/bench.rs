@@ -1,8 +1,9 @@
 //! Open-loop socket load generator.
 //!
-//! Drives a running server ([`NetServer`](crate::NetServer) or
-//! [`EventServer`](crate::EventServer)) over real TCP connections from an
-//! arrival schedule (typically `cote_workloads::traffic::poisson_schedule`).
+//! Drives a running [`EventServer`](crate::EventServer) (in process, or
+//! behind `cote serve --listen` / `cote gateway`) over real TCP connections
+//! from an arrival schedule (typically
+//! `cote_workloads::traffic::poisson_schedule`).
 //! Each client thread owns one connection at a time and paces itself to the
 //! schedule's arrival times — when the server lags, later arrivals are
 //! still issued on time (up to per-connection serialization), so offered

@@ -1,17 +1,14 @@
-//! Failpoint sites for the network front-ends.
+//! Failpoint sites for the network front-end.
 //!
-//! Both transports — the thread-per-connection [`NetServer`] and the
-//! event-driven [`EventServer`] — evaluate the *same* site names at the
-//! same protocol moments, so a chaos scenario written against one
-//! front-end means the same thing against the other. The sites live on the
-//! accept, read and write paths; what each injected [`FaultAction`] does at
-//! a given site is documented on the constant.
+//! The [`EventServer`] evaluates these site names at fixed protocol
+//! moments on its accept, read and write paths, so a chaos scenario names
+//! a protocol moment rather than a code location. What each injected
+//! [`FaultAction`] does at a given site is documented on the constant.
 //!
 //! All of this costs one relaxed atomic load per site when the registry is
 //! disarmed, and compiles out entirely under `chaos-off` (see
 //! [`cote_common::failpoint`]).
 //!
-//! [`NetServer`]: crate::NetServer
 //! [`EventServer`]: crate::EventServer
 
 use cote_common::failpoint::{self, FaultAction};

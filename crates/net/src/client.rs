@@ -1,4 +1,4 @@
-//! Blocking wire-protocol client for [`NetServer`](crate::NetServer).
+//! Blocking wire-protocol client for [`EventServer`](crate::EventServer).
 //!
 //! One [`NetClient`] wraps one TCP connection. Requests are frames;
 //! [`NetClient::request`] writes one and reads one response, so callers can

@@ -1,5 +1,7 @@
-//! The event-driven network front-end: a readiness poller driving
-//! non-blocking connection state machines.
+//! The network front-end: a readiness poller driving non-blocking
+//! connection state machines, with protocol sniffing (wire frames and
+//! HTTP/1.1 share one port), overload shedding with `BUSY`, and a graceful
+//! deadline-bounded drain.
 //!
 //! ```text
 //!  accept thread ──▶ round-robin ──▶ L event-loop threads
@@ -11,19 +13,22 @@
 //!                                         │     backpressure via interest
 //! ```
 //!
-//! Same protocols, same [`WireHandler`], same BUSY shedding and
-//! deadline-bounded drain as the thread-per-connection [`NetServer`] — the
-//! difference is capacity: a handler thread *per concurrent connection*
-//! becomes a handful of loops each holding thousands of mostly-idle
-//! sockets. Request *work* is still bounded by the service's admission
-//! controller; what this front-end removes is the thread-per-socket cost of
-//! merely being connected.
+//! What the requests *mean* lives behind [`WireHandler`] (see
+//! [`crate::handler`]): [`ServiceHandler`] for `cote serve`, a gateway core
+//! for `cote-gateway`. A handful of loops each hold thousands of
+//! mostly-idle sockets, so merely being connected costs no thread.
+//!
+//! Backpressure is layered: `max_conns` bounds *sockets* (excess gets a
+//! protocol-level `BUSY connections`, never an unbounded accept backlog),
+//! and the [`AdmissionController`] inside [`CoteService`] bounds
+//! *estimation work* (its sheds surface as `BUSY <reason>` frames / HTTP
+//! 503).
 //!
 //! Mechanics worth naming:
 //!
-//! - **Partial frames.** Reads land in the connection's [`FrameBuffer`] —
-//!   the same splitter the blocking path uses — so a request split across
-//!   arbitrary TCP segments resumes identically on both front-ends.
+//! - **Partial frames.** Reads land in the connection's [`FrameBuffer`], so
+//!   a request split across arbitrary TCP segments — one byte at a time,
+//!   even — resumes exactly as if it had arrived in one write.
 //! - **Write backpressure.** Responses queue in a per-connection write
 //!   buffer, flushed as the socket allows. Past the high-water mark the
 //!   loop drops the connection's *read* interest: a peer that won't drain
@@ -34,7 +39,7 @@
 //!   flushing half-written responses until the deadline, then force-close
 //!   the rest. `open_connections` hits zero either way.
 //!
-//! [`NetServer`]: crate::NetServer
+//! [`AdmissionController`]: cote_service::AdmissionController
 
 use crate::chaos;
 use crate::frame::{FrameBuffer, FrameError};
@@ -43,14 +48,13 @@ use crate::http::{self, HttpError, HttpRequest};
 use crate::metrics::{NetMetrics, PollMetrics};
 use crate::poll::{new_poller, Interest, PollEvent, Poller};
 use crate::proto::WireResponse;
-use crate::server::{wake_addr, DrainReport, NetConfig};
 use cote_common::failpoint::{self, FaultAction};
 use cote_obs::Registry;
 use cote_query::Query;
 use cote_service::CoteService;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -58,14 +62,15 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Event-loop front-end knobs.
+/// Front-end knobs. `Default` suits tests and laptops; `max_conns` is the
+/// knob a deployment sizes.
 #[derive(Debug, Clone)]
 pub struct EventConfig {
     /// Event-loop threads. Each holds its own poller and connection set;
     /// requests on different loops submit to the service concurrently.
     pub loops: usize,
     /// Open-connection cap across all loops; beyond it, accept sheds with
-    /// `BUSY connections` (the event-mode analogue of pool + backlog).
+    /// `BUSY connections`.
     pub max_conns: usize,
     /// Per-line byte cap for wire frames and HTTP header lines.
     pub max_line_bytes: usize,
@@ -94,20 +99,27 @@ impl Default for EventConfig {
     }
 }
 
-impl EventConfig {
-    /// Map a thread-per-connection config onto the event loop so both
-    /// front-ends enforce the same observable limits: the connection cap is
-    /// `handlers + pending_conns` (served + parked) and the idle timeout is
-    /// the blocking path's read timeout.
-    pub fn from_net(cfg: &NetConfig) -> Self {
-        Self {
-            loops: 2,
-            max_conns: (cfg.handlers + cfg.pending_conns).max(1),
-            max_line_bytes: cfg.max_line_bytes,
-            max_body_bytes: cfg.max_body_bytes,
-            idle_timeout: cfg.read_timeout,
-            drain_deadline: cfg.drain_deadline,
-            wbuf_high_water: 64 * 1024,
+/// What shutdown observed while draining.
+#[derive(Debug, Clone)]
+pub struct DrainReport {
+    /// True when every connection finished before the deadline.
+    pub drained_cleanly: bool,
+    /// Connections force-closed at the deadline.
+    pub forced_connections: usize,
+    /// Time spent waiting for the drain.
+    pub waited: Duration,
+}
+
+impl DrainReport {
+    /// One-line human summary.
+    pub fn summary(&self) -> String {
+        if self.drained_cleanly {
+            format!("drained cleanly in {:?}", self.waited)
+        } else {
+            format!(
+                "drain deadline hit after {:?}: force-closed {} connection(s)",
+                self.waited, self.forced_connections
+            )
         }
     }
 }
@@ -116,7 +128,7 @@ impl EventConfig {
 const WAKE_TOKEN: u64 = u64::MAX;
 /// Poll timeout; also the cadence of idle sweeps and drain checks.
 const TICK: Duration = Duration::from_millis(100);
-/// Read chunk size (mirrors the blocking `LineReader` fill size).
+/// Bytes pulled per `read` call.
 const READ_CHUNK: usize = 4096;
 
 struct LoopShared {
@@ -148,7 +160,7 @@ struct EvShared {
     loops: Vec<LoopShared>,
 }
 
-/// A running event-driven front-end over one [`WireHandler`].
+/// A running front-end over one [`WireHandler`].
 pub struct EventServer {
     shared: Arc<EvShared>,
     local_addr: SocketAddr,
@@ -157,8 +169,8 @@ pub struct EventServer {
 }
 
 impl EventServer {
-    /// Serve `svc` on `listener` (event-loop analogue of
-    /// [`NetServer::start`](crate::NetServer::start)).
+    /// Serve `svc` on `listener`. `queries` is the workload the wire
+    /// protocol's 1-based indices refer to.
     pub fn start(
         svc: Arc<CoteService>,
         queries: Arc<Vec<Query>>,
@@ -268,15 +280,18 @@ impl EventServer {
         self.shared.open.load(Ordering::Acquire)
     }
 
-    /// Graceful shutdown with the same semantics as the threaded server:
-    /// stop accepting, answer open connections with `BUSY draining`, flush
-    /// half-written responses until the deadline, force-close the rest.
+    /// Graceful shutdown: stop accepting, answer open connections with
+    /// `BUSY draining`, flush half-written responses until the deadline,
+    /// force-close the rest, and join every thread.
     pub fn shutdown(mut self) -> DrainReport {
         self.shutdown_impl()
     }
 
     fn shutdown_impl(&mut self) -> DrainReport {
         self.shared.draining.store(true, Ordering::Release);
+        // Unblock the acceptor with a loopback connection; if that fails
+        // (firewalled 0.0.0.0 bind, exotic setups) fall back on its accept
+        // loop noticing the flag at the next real connection.
         let _ = TcpStream::connect_timeout(&wake_addr(self.local_addr), Duration::from_millis(250));
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
@@ -318,6 +333,15 @@ impl Drop for EventServer {
             let _ = self.shutdown_impl();
         }
     }
+}
+
+/// The loopback address shutdown connects to, to wake a blocking acceptor.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        ip if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
 }
 
 fn accept_loop(shared: &EvShared, listener: &TcpListener) {
@@ -676,11 +700,11 @@ fn on_readable(shared: &EvShared, conn: &mut Conn) -> Drive {
             Ok(0) => {
                 conn.read_closed = true;
                 if conn.http.is_some() {
-                    // EOF mid-HTTP-request: the blocking path's 400.
+                    // EOF mid-HTTP-request: 400, as for any truncated head.
                     shared.net.malformed.inc();
                     queue_http_error(conn, &HttpError::Frame(FrameError::Truncated));
                 } else if !conn.frames.is_empty() {
-                    // EOF mid-line: the blocking path's FrameError::Truncated.
+                    // EOF mid-line: a FrameError::Truncated frame.
                     shared.net.malformed.inc();
                 }
                 break;
@@ -873,11 +897,10 @@ fn drive_http(shared: &EvShared, conn: &mut Conn) -> HttpDrive {
 
 /// Queue a response, applying any configured write-path faults (unless
 /// `faults` is false — health-check replies are exempt, see
-/// [`chaos::exempt`]). The event-mode semantics mirror the blocking path's
-/// `write_out`: corrupt garbles bytes (framing kept), delay stalls the loop
-/// (a slow-writer model), reset queues a truncated prefix and closes after
-/// flush, and partial makes the next flush deliver exactly one byte so the
-/// peer must resume a split frame across loop rounds.
+/// [`chaos::exempt`]): corrupt garbles bytes (framing kept), delay stalls
+/// the loop (a slow-writer model), reset queues a truncated prefix and
+/// closes after flush, and partial makes the next flush deliver exactly one
+/// byte so the peer must resume a split frame across loop rounds.
 fn queue_response(conn: &mut Conn, mut bytes: Vec<u8>, faults: bool) {
     if !faults {
         conn.wbuf.extend_from_slice(&bytes);
@@ -901,8 +924,8 @@ fn queue_response(conn: &mut Conn, mut bytes: Vec<u8>, faults: bool) {
     conn.wbuf.extend_from_slice(&bytes);
 }
 
-/// Queue the HTTP error response matching the blocking path's status
-/// mapping (413 for oversized bodies, 400 otherwise) and close after flush.
+/// Queue the HTTP error response (413 for oversized bodies, 400 otherwise)
+/// and close after flush.
 fn queue_http_error(conn: &mut Conn, e: &HttpError) {
     let response = match e {
         HttpError::BodyTooLarge { limit } => {

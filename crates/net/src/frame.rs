@@ -14,7 +14,7 @@
 //!   partial-frame resumption behaves identically on both paths by
 //!   construction.
 //! - [`LineReader`]: [`FrameBuffer`] plus a blocking `Read` source, for the
-//!   thread-per-connection server, the HTTP parser and the stdin loop.
+//!   wire client and the stdin loop.
 //!
 //! Framing rules: a frame is one line terminated by `\n` (a trailing `\r`
 //! is stripped, so `\r\n` peers work); the terminator is not part of the
@@ -264,19 +264,6 @@ impl<R: Read> LineReader<R> {
             }
         }
     }
-
-    /// Read exactly `n` more bytes (for sized HTTP bodies), using whatever
-    /// is already buffered first. The caller is responsible for capping `n`.
-    pub fn read_exact_bytes(&mut self, n: usize) -> Result<Vec<u8>, FrameError> {
-        loop {
-            if let Some(out) = self.frames.take_bytes(n) {
-                return Ok(out);
-            }
-            if self.fill()? == 0 {
-                return Err(FrameError::Truncated);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -333,14 +320,6 @@ mod tests {
         assert!(matches!(r.read_line(), Err(FrameError::Truncated)));
         let mut r = reader(&[0xFF, 0xFE, b'\n'], 64);
         assert!(matches!(r.read_line(), Err(FrameError::InvalidUtf8)));
-    }
-
-    #[test]
-    fn read_exact_bytes_spans_buffer_and_stream() {
-        let mut r = reader(b"head\nbody-bytes", 64);
-        assert_eq!(r.read_line().unwrap().as_deref(), Some("head"));
-        assert_eq!(r.read_exact_bytes(10).unwrap(), b"body-bytes");
-        assert!(matches!(r.read_exact_bytes(1), Err(FrameError::Truncated)));
     }
 
     #[test]

@@ -1,19 +1,16 @@
 //! Transport-independent request handling.
 //!
-//! Both front-ends — the thread-per-connection [`NetServer`] and the
-//! event-driven [`EventServer`] — speak the same two protocols (the line
-//! wire grammar and minimal HTTP/1.1) but differ only in *how bytes move*.
-//! This module holds the part that doesn't differ: a [`WireHandler`] turns
-//! one parsed request into one response, with no knowledge of sockets,
-//! buffers or readiness.
+//! The [`EventServer`] front-end speaks two protocols (the line wire
+//! grammar and minimal HTTP/1.1) and owns *how bytes move*. This module
+//! holds what a request *means*: a [`WireHandler`] turns one parsed request
+//! into one response, with no knowledge of sockets, buffers or readiness.
 //!
 //! [`ServiceHandler`] is the estimation-daemon implementation (resolve the
 //! query, submit to [`CoteService`], render the decision). The
 //! `cote-gateway` crate provides a second implementation that forwards
 //! requests to a consistent-hash ring of backends — same trait, same
-//! front-ends.
+//! front-end.
 //!
-//! [`NetServer`]: crate::NetServer
 //! [`EventServer`]: crate::EventServer
 
 use crate::http::{self, HttpRequest};

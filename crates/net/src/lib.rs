@@ -7,8 +7,8 @@
 //!
 //! ```text
 //!            ┌──────────────────────────────────────────────────────┐
-//!  TCP ────▶ │ acceptor ─▶ bounded pending queue ─▶ handler pool    │
-//!            │     │            full → "BUSY connections" + close   │
+//!  TCP ────▶ │ acceptor ─▶ L event loops (epoll | poll)             │
+//!            │     │ over max_conns → "BUSY connections" + close    │
 //!            │     ▼                                                │
 //!            │ per connection: length-capped frames, protocol sniff │
 //!            │   wire:  PING / ESTIMATE / ADMIT / METRICS           │
@@ -17,13 +17,17 @@
 //!            └──────────────────────────────────────────────────────┘
 //! ```
 //!
-//! - [`frame`]: the length-capped line reader every untrusted input goes
+//! - [`frame`]: the length-capped line splitter every untrusted input goes
 //!   through (including `cote serve`'s stdin loop).
 //! - [`proto`]: the one-line request/response grammar and JSON payloads.
 //! - [`http`]: a minimal HTTP/1.1 parser/printer for scrapers and probes.
-//! - [`server`]: acceptor + bounded handler pool, layered backpressure
-//!   (connection cap here, estimation admission inside the service),
-//!   graceful deadline-bounded drain.
+//! - [`handler`]: what a request means ([`WireHandler`]), apart from how it
+//!   travels.
+//! - [`event`]: the front-end — an acceptor feeding event loops over
+//!   non-blocking connections, layered backpressure (connection cap here,
+//!   estimation admission inside the service), graceful deadline-bounded
+//!   drain.
+//! - [`poll`]: the readiness poller the loops wait on.
 //! - [`client`]: a blocking wire-protocol client.
 //! - [`bench`]: an open-loop socket load generator over
 //!   `cote_workloads::traffic` schedules.
@@ -38,15 +42,13 @@ pub mod http;
 pub mod metrics;
 pub mod poll;
 pub mod proto;
-pub mod server;
 
 pub use bench::{bench_net, NetBenchConfig, NetBenchReport};
 pub use client::{NetClient, NetClientConfig, NetError};
-pub use event::{EventConfig, EventServer};
+pub use event::{DrainReport, EventConfig, EventServer};
 pub use frame::{FrameBuffer, FrameError, LineReader, MAX_LINE_BYTES};
 pub use handler::{http_body_to_wire, wire_to_http, ServiceHandler, WireHandler};
 pub use http::{HttpError, HttpRequest};
 pub use metrics::{NetMetrics, PollMetrics};
 pub use poll::{new_poller, Interest, PollEvent, Poller};
 pub use proto::{parse_class, parse_request, WireRequest, WireResponse};
-pub use server::{DrainReport, NetConfig, NetServer};

@@ -3,13 +3,13 @@
 //! hold half-written responses, and open-connection accounting under churn.
 //!
 //! The generic transport contract (answers, shedding, HTTP, clean drain) is
-//! covered for both front-ends by `tests/loopback.rs`; this file exercises
-//! the states only a readiness-driven server can be caught in.
+//! covered by `tests/loopback.rs`; this file exercises the states only a
+//! readiness-driven server can be caught in.
 
 use cote::{Cote, TimeModel};
 use cote_catalog::{Catalog, ColumnDef, TableDef};
 use cote_common::{ColRef, TableId, TableRef};
-use cote_net::{EventConfig, EventServer, NetConfig, NetServer};
+use cote_net::{EventConfig, EventServer};
 use cote_query::{Query, QueryBlockBuilder};
 use cote_service::{CoteService, QueryClass, ServiceConfig};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -98,12 +98,12 @@ fn stable(line: &str) -> String {
     }
 }
 
-/// The same pipelined byte stream, delivered in one write to the threaded
-/// server and one byte at a time to the event-loop server, must produce
-/// identical frames: the nonblocking reader parks partial frames in its
-/// `FrameBuffer` and resumes them exactly where the blocking reader would.
+/// The same pipelined byte stream, delivered once in a single write and
+/// once one byte at a time, must produce identical frames: the nonblocking
+/// reader parks partial frames in its `FrameBuffer` and resumes them
+/// exactly where a whole-buffer read would have split them.
 #[test]
-fn one_byte_writes_resume_partial_frames_like_threaded() {
+fn one_byte_writes_resume_partial_frames() {
     let (svc, queries) = service();
     // Warm the statement cache so `"cached"` agrees between the two runs.
     for q in queries.iter() {
@@ -115,26 +115,24 @@ fn one_byte_writes_resume_partial_frames_like_threaded() {
                   FROB x\nPING\n";
     let responses = 6;
 
-    let threaded = NetServer::bind(
-        Arc::clone(&svc),
-        Arc::clone(&queries),
-        "127.0.0.1:0",
-        NetConfig::default(),
-    )
-    .unwrap();
-    let mut s = TcpStream::connect(threaded.local_addr()).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s.write_all(script.as_bytes()).unwrap();
-    let want: Vec<String> = read_lines(s, responses).iter().map(|l| stable(l)).collect();
-    assert!(threaded.shutdown().drained_cleanly);
-
     let event = EventServer::bind(
         Arc::clone(&svc),
         Arc::clone(&queries),
         "127.0.0.1:0",
-        EventConfig::from_net(&NetConfig::default()),
+        EventConfig::default(),
     )
     .unwrap();
+
+    // Reference: the whole script in one write.
+    let mut s = TcpStream::connect(event.local_addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.write_all(script.as_bytes()).unwrap();
+    let want: Vec<String> = read_lines(s, responses).iter().map(|l| stable(l)).collect();
+    assert_eq!(want.len(), responses);
+    assert_eq!(want[0], "OK pong");
+    assert!(want[4].starts_with("ERR"), "{:?}", want[4]);
+
+    // The same bytes, trickled.
     let mut s = TcpStream::connect(event.local_addr()).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     s.set_nodelay(true).unwrap();
@@ -146,7 +144,7 @@ fn one_byte_writes_resume_partial_frames_like_threaded() {
         std::thread::sleep(Duration::from_micros(200));
     }
     let got: Vec<String> = read_lines(s, responses).iter().map(|l| stable(l)).collect();
-    assert_eq!(got, want, "event-loop reassembly diverged from threaded");
+    assert_eq!(got, want, "one-byte reassembly diverged from one write");
 
     // Same property for an HTTP request trickled one byte at a time.
     let body = "{\"query\":1}";
@@ -177,17 +175,12 @@ fn one_byte_writes_resume_partial_frames_like_threaded() {
 #[test]
 fn drain_with_half_written_responses_is_deadline_bounded() {
     let (svc, queries) = service();
-    let net = NetConfig {
+    let cfg = EventConfig {
         drain_deadline: Duration::from_millis(300),
         ..Default::default()
     };
-    let server = EventServer::bind(
-        Arc::clone(&svc),
-        Arc::clone(&queries),
-        "127.0.0.1:0",
-        EventConfig::from_net(&net),
-    )
-    .unwrap();
+    let server =
+        EventServer::bind(Arc::clone(&svc), Arc::clone(&queries), "127.0.0.1:0", cfg).unwrap();
 
     // A healthy connection mid-frame (no newline yet) that must drain
     // cleanly with a `BUSY draining` notice. Opened first, and confirmed
@@ -279,7 +272,7 @@ fn connection_churn_returns_open_count_to_zero() {
         Arc::clone(&svc),
         Arc::clone(&queries),
         "127.0.0.1:0",
-        EventConfig::from_net(&NetConfig::default()),
+        EventConfig::default(),
     )
     .unwrap();
     let addr: SocketAddr = server.local_addr();

@@ -3,26 +3,17 @@
 //! instead of hanging, malformed frames are answered (or closed on)
 //! deterministically, and shutdown drains with the queue-depth gauge back
 //! at zero.
-//!
-//! Every test runs twice — once against the threaded [`NetServer`] and once
-//! against the event-loop [`EventServer`] — via the [`both_modes!`] macro.
-//! The wire protocol, HTTP surface, shedding and drain semantics are
-//! front-end-independent contracts, so the two variants assert the exact
-//! same facts.
 
 use cote::{Cote, TimeModel};
 use cote_catalog::{Catalog, ColumnDef, TableDef};
 use cote_common::{ColRef, TableId, TableRef};
 use cote_net::proto::json_extract_str;
-use cote_net::{
-    DrainReport, EventConfig, EventServer, NetClient, NetClientConfig, NetConfig, NetMetrics,
-    NetServer, WireRequest, WireResponse,
-};
+use cote_net::{EventConfig, EventServer, NetClient, NetClientConfig, WireRequest, WireResponse};
 use cote_optimizer::{Mode as OptMode, OptimizerConfig};
 use cote_query::{Query, QueryBlockBuilder};
 use cote_service::{CoteService, Decision, QueryClass, ServiceConfig};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -99,75 +90,9 @@ fn quick_client_cfg() -> NetClientConfig {
     }
 }
 
-/// Which front-end a test round binds the service behind.
-#[derive(Clone, Copy, Debug)]
-enum Mode {
-    Threaded,
-    Event,
-}
-
-enum FrontEnd {
-    Threaded(NetServer),
-    Event(EventServer),
-}
-
-impl Mode {
-    fn bind(self, svc: &Arc<CoteService>, queries: &Arc<Vec<Query>>, cfg: NetConfig) -> FrontEnd {
-        match self {
-            Mode::Threaded => FrontEnd::Threaded(
-                NetServer::bind(Arc::clone(svc), Arc::clone(queries), "127.0.0.1:0", cfg).unwrap(),
-            ),
-            Mode::Event => FrontEnd::Event(
-                EventServer::bind(
-                    Arc::clone(svc),
-                    Arc::clone(queries),
-                    "127.0.0.1:0",
-                    EventConfig::from_net(&cfg),
-                )
-                .unwrap(),
-            ),
-        }
-    }
-}
-
-impl FrontEnd {
-    fn local_addr(&self) -> SocketAddr {
-        match self {
-            FrontEnd::Threaded(s) => s.local_addr(),
-            FrontEnd::Event(s) => s.local_addr(),
-        }
-    }
-
-    fn metrics(&self) -> &NetMetrics {
-        match self {
-            FrontEnd::Threaded(s) => s.metrics(),
-            FrontEnd::Event(s) => s.metrics(),
-        }
-    }
-
-    fn shutdown(self) -> DrainReport {
-        match self {
-            FrontEnd::Threaded(s) => s.shutdown(),
-            FrontEnd::Event(s) => s.shutdown(),
-        }
-    }
-}
-
-/// Instantiate one test body as `<name>::threaded` and `<name>::event_loop`.
-macro_rules! both_modes {
-    ($name:ident) => {
-        mod $name {
-            use super::*;
-            #[test]
-            fn threaded() {
-                super::$name(Mode::Threaded);
-            }
-            #[test]
-            fn event_loop() {
-                super::$name(Mode::Event);
-            }
-        }
-    };
+/// Serve `svc` on an ephemeral loopback port.
+fn bind(svc: &Arc<CoteService>, queries: &Arc<Vec<Query>>, cfg: EventConfig) -> EventServer {
+    EventServer::bind(Arc::clone(svc), Arc::clone(queries), "127.0.0.1:0", cfg).unwrap()
 }
 
 /// Assert a service has fully drained and its queue-depth gauge is back to
@@ -181,7 +106,8 @@ fn assert_gauge_drained(svc: &CoteService) {
     );
 }
 
-fn concurrent_clients_match_serial_service_answers(mode: Mode) {
+#[test]
+fn concurrent_clients_match_serial_service_answers() {
     let (svc, queries) = service(small_cfg());
 
     // Ground truth: what the service answers serially, in-process.
@@ -196,7 +122,7 @@ fn concurrent_clients_match_serial_service_answers(mode: Mode) {
         })
         .collect();
 
-    let server = mode.bind(&svc, &queries, NetConfig::default());
+    let server = bind(&svc, &queries, EventConfig::default());
     let addr = server.local_addr();
 
     const CLIENTS: usize = 6;
@@ -237,21 +163,18 @@ fn concurrent_clients_match_serial_service_answers(mode: Mode) {
     assert_eq!(report.forced_connections, 0);
     assert_gauge_drained(&svc);
 }
-both_modes!(concurrent_clients_match_serial_service_answers);
 
-fn overload_sheds_busy_and_never_hangs(mode: Mode) {
+#[test]
+fn overload_sheds_busy_and_never_hangs() {
     let (svc, queries) = service(small_cfg());
-    let cfg = NetConfig {
-        handlers: 1,
-        pending_conns: 1,
-        read_timeout: Duration::from_secs(2),
+    // Two open connections at most: the third concurrent one must be shed.
+    let cfg = EventConfig {
+        max_conns: 2,
+        idle_timeout: Duration::from_secs(2),
         drain_deadline: Duration::from_millis(300),
         ..Default::default()
     };
-    // Threaded: 1 handler + 1 pending slot. Event: the same budget becomes
-    // `max_conns = 2` via `EventConfig::from_net`. Either way the third
-    // concurrent connection must be shed.
-    let server = mode.bind(&svc, &queries, cfg);
+    let server = bind(&svc, &queries, cfg);
     let addr = server.local_addr();
     let ccfg = quick_client_cfg();
 
@@ -259,7 +182,7 @@ fn overload_sheds_busy_and_never_hangs(mode: Mode) {
     // registered this connection before the next ones arrive.
     let mut held = NetClient::connect_with(addr, &ccfg).unwrap();
     held.ping().unwrap();
-    // Fill the second slot (threaded: accepted, never served).
+    // Fill the second slot.
     let parked = NetClient::connect_with(addr, &ccfg).unwrap();
 
     // Every further connection must be shed with a protocol-level BUSY,
@@ -284,16 +207,16 @@ fn overload_sheds_busy_and_never_hangs(mode: Mode) {
     assert_eq!(report.forced_connections, 0, "{}", report.summary());
     assert_gauge_drained(&svc);
 }
-both_modes!(overload_sheds_busy_and_never_hangs);
 
-fn malformed_frames_get_err_or_close_never_hang(mode: Mode) {
+#[test]
+fn malformed_frames_get_err_or_close_never_hang() {
     let (svc, queries) = service(small_cfg());
-    let cfg = NetConfig {
+    let cfg = EventConfig {
         max_line_bytes: 256,
-        read_timeout: Duration::from_secs(2),
+        idle_timeout: Duration::from_secs(2),
         ..Default::default()
     };
-    let server = mode.bind(&svc, &queries, cfg);
+    let server = bind(&svc, &queries, cfg);
     let addr = server.local_addr();
     let ccfg = quick_client_cfg();
 
@@ -338,11 +261,11 @@ fn malformed_frames_get_err_or_close_never_hang(mode: Mode) {
     assert!(report.drained_cleanly, "{}", report.summary());
     assert_gauge_drained(&svc);
 }
-both_modes!(malformed_frames_get_err_or_close_never_hang);
 
-fn pipelined_requests_are_answered_in_order(mode: Mode) {
+#[test]
+fn pipelined_requests_are_answered_in_order() {
     let (svc, queries) = service(small_cfg());
-    let server = mode.bind(&svc, &queries, NetConfig::default());
+    let server = bind(&svc, &queries, EventConfig::default());
     let mut c = NetClient::connect_with(server.local_addr(), &quick_client_cfg()).unwrap();
 
     // Write four frames back-to-back, then read four responses: one
@@ -374,11 +297,11 @@ fn pipelined_requests_are_answered_in_order(mode: Mode) {
     assert!(report.drained_cleanly, "{}", report.summary());
     assert_gauge_drained(&svc);
 }
-both_modes!(pipelined_requests_are_answered_in_order);
 
-fn sql_estimates_over_wire_and_http(mode: Mode) {
+#[test]
+fn sql_estimates_over_wire_and_http() {
     let (svc, queries) = service(small_cfg());
-    let server = mode.bind(&svc, &queries, NetConfig::default());
+    let server = bind(&svc, &queries, EventConfig::default());
     let addr = server.local_addr();
     let mut c = NetClient::connect_with(addr, &quick_client_cfg()).unwrap();
 
@@ -454,9 +377,9 @@ fn sql_estimates_over_wire_and_http(mode: Mode) {
     assert!(report.drained_cleanly, "{}", report.summary());
     assert_gauge_drained(&svc);
 }
-both_modes!(sql_estimates_over_wire_and_http);
 
-fn metrics_exposition_is_complete_and_escaped(mode: Mode) {
+#[test]
+fn metrics_exposition_is_complete_and_escaped() {
     let (svc, queries) = service(small_cfg());
     // Generate some traffic so instruments carry non-trivial samples.
     for q in queries.iter().take(2) {
@@ -464,7 +387,7 @@ fn metrics_exposition_is_complete_and_escaped(mode: Mode) {
     }
     svc.report_outcome(&queries[0], 0.001);
 
-    let server = mode.bind(&svc, &queries, NetConfig::default());
+    let server = bind(&svc, &queries, EventConfig::default());
     let addr = server.local_addr();
     let resp = http_exchange(addr, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
     assert!(resp.starts_with("HTTP/1.1 200 OK\r\n"), "{resp}");
@@ -531,21 +454,16 @@ fn metrics_exposition_is_complete_and_escaped(mode: Mode) {
         "cote_service_recal_observations_total",
         "cote_service_advice_error_margin_milli",
         "cote_service_online_c_nljn_picoseconds",
+        "cote_net_poll_wakeups_total",
+        "cote_net_poll_loops",
     ] {
         assert!(families.contains(name), "missing from /metrics: {name}");
-    }
-    // The event-loop front-end additionally exposes its poller instruments.
-    if matches!(mode, Mode::Event) {
-        for name in ["cote_net_poll_wakeups_total", "cote_net_poll_loops"] {
-            assert!(families.contains(name), "missing from /metrics: {name}");
-        }
     }
 
     let report = server.shutdown();
     assert!(report.drained_cleanly, "{}", report.summary());
     assert_gauge_drained(&svc);
 }
-both_modes!(metrics_exposition_is_complete_and_escaped);
 
 /// One HTTP exchange on a fresh connection (`Connection: close` semantics).
 fn http_exchange(addr: std::net::SocketAddr, request: &str) -> String {
@@ -557,9 +475,10 @@ fn http_exchange(addr: std::net::SocketAddr, request: &str) -> String {
     out
 }
 
-fn http_endpoints_share_the_port(mode: Mode) {
+#[test]
+fn http_endpoints_share_the_port() {
     let (svc, queries) = service(small_cfg());
-    let server = mode.bind(&svc, &queries, NetConfig::default());
+    let server = bind(&svc, &queries, EventConfig::default());
     let addr = server.local_addr();
 
     let health = http_exchange(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
@@ -603,4 +522,3 @@ fn http_endpoints_share_the_port(mode: Mode) {
     assert!(report.drained_cleanly, "{}", report.summary());
     assert_gauge_drained(&svc);
 }
-both_modes!(http_endpoints_share_the_port);

@@ -62,8 +62,4 @@ pub mod phase {
     pub const ESTIMATE_LEVEL: &str = "estimate_level";
     /// One estimator execution on a service worker.
     pub const SERVICE_ESTIMATE: &str = "service_estimate";
-    /// One network connection, accept to close (`cote-net`).
-    pub const NET_CONN: &str = "net_conn";
-    /// One wire/HTTP request on a connection, parse to response flushed.
-    pub const NET_REQUEST: &str = "net_request";
 }

@@ -17,7 +17,8 @@ fn col_name(block: &QueryBlock, catalog: &Catalog, c: ColRef) -> String {
     format!("{}.{}", alias(c.table), col.name)
 }
 
-/// Render one block as pseudo-SQL (children become `EXISTS (...)` tails).
+/// Render one block as pseudo-SQL (children become `EXISTS (...)` WHERE
+/// conjuncts).
 pub fn block_to_sql(block: &QueryBlock, catalog: &Catalog, indent: usize) -> String {
     let pad = "  ".repeat(indent);
     let mut out = String::new();
@@ -60,6 +61,12 @@ pub fn block_to_sql(block: &QueryBlock, catalog: &Catalog, indent: usize) -> Str
             p.selectivity
         ));
     }
+    for child in block.children() {
+        conds.push(format!(
+            "EXISTS (\n{}{pad}  )",
+            block_to_sql(child, catalog, indent + 2)
+        ));
+    }
     if !conds.is_empty() {
         let _ = writeln!(out, "{pad}WHERE {}", conds.join(&format!("\n{pad}  AND ")));
     }
@@ -81,11 +88,6 @@ pub fn block_to_sql(block: &QueryBlock, catalog: &Catalog, indent: usize) -> Str
     }
     if let Some(n) = block.first_n() {
         let _ = writeln!(out, "{pad}FETCH FIRST {n} ROWS ONLY");
-    }
-    for child in block.children() {
-        let _ = writeln!(out, "{pad}  AND EXISTS (");
-        out.push_str(&block_to_sql(child, catalog, indent + 2));
-        let _ = writeln!(out, "{pad}  )");
     }
     out
 }

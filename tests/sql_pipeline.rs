@@ -125,6 +125,28 @@ fn literal_variants_share_cache_entries_across_both_layers() {
     );
 }
 
+/// `cote show` renders a nested query as SQL the front-end accepts: child
+/// blocks become `EXISTS` conjuncts of the WHERE clause, ahead of GROUP BY,
+/// even when the parent has no predicate of its own.
+#[test]
+fn show_renders_nested_queries_as_compilable_sql() {
+    let w = cote_workloads::by_name("real2-s").unwrap();
+    let q = &w.queries[9];
+    assert!(!q.root.children().is_empty(), "real2 q10 has a subquery");
+    let sql = cote_query::to_sql(q, &w.catalog);
+    let where_at = sql.find("WHERE").expect(&sql);
+    let exists_at = sql.find("EXISTS").expect(&sql);
+    let group_at = sql.find("GROUP BY").expect(&sql);
+    assert!(where_at < exists_at && exists_at < group_at, "{sql}");
+    let compiled = cote_sql::compile(&sql, &w.catalog, "real2_q10")
+        .unwrap_or_else(|e| panic!("{}\n{sql}", e.render(&sql)));
+    assert_eq!(
+        compiled.query.root.children().len(),
+        q.root.children().len()
+    );
+    assert_eq!(compiled.query.total_tables(), q.total_tables());
+}
+
 /// Malformed or unresolvable statements fail with positioned errors at the
 /// pipeline entry point — never panics, never a stack overflow.
 #[test]
