@@ -657,13 +657,7 @@ pub fn estimate_block(
     let ctx = OptContext::new(catalog, block, config);
     let mut visitor = PlanEstimator::new(opts, config.composite_inner_limit);
     let mut span = Span::enter(phase::ESTIMATE);
-    let outcome = if opts.top_down {
-        cote_optimizer::enumerate_topdown(&ctx, &SimpleCardinality, &mut visitor)?
-    } else if opts.enum_threads > 1 {
-        enumerate_par(&ctx, &SimpleCardinality, &mut visitor, opts.enum_threads)?
-    } else {
-        enumerate(&ctx, &SimpleCardinality, &mut visitor)?
-    };
+    let outcome = enumerate_par(&ctx, &SimpleCardinality, &mut visitor, opts.enum_threads)?;
     let property_values: u64 = outcome
         .memo
         .iter()
@@ -960,29 +954,52 @@ mod tests {
     }
 
     #[test]
-    fn top_down_estimation_is_identical_to_bottom_up() {
-        // §6.2: the estimator is enumeration-order independent (full
-        // memoization, no early stopping).
-        let cat = catalog(6);
-        for orderby in [false, true] {
-            let block = chain(&cat, 6, orderby);
-            let cfg = OptimizerConfig::high(Mode::Serial);
-            let up = estimate_block(&cat, &block, &cfg, &EstimateOptions::default()).unwrap();
-            let down = estimate_block(
-                &cat,
-                &block,
-                &cfg,
-                &EstimateOptions {
-                    top_down: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(up.counts, down.counts, "orderby={orderby}");
-            assert_eq!(up.pairs, down.pairs);
-            assert_eq!(up.joins, down.joins);
-            assert_eq!(up.property_values, down.property_values);
-            assert_eq!(up.sort_plans, down.sort_plans);
+    fn every_walker_estimates_identically_at_default_config() {
+        // §6.2, DESIGN.md invariant 9: serial, parallel and top-down walks
+        // all join through `process_mask`, so at the shipped config — the
+        // Cartesian-card-1 heuristic on — they agree to the count on every
+        // block of every workload. Compared: counts, level counts, SORT
+        // plans, pairs, joins, MEMO entries and property values.
+        let key = |e: &BlockEstimate| {
+            let (c, l) = (e.counts, e.level_counts.clone());
+            let sizes = (e.pairs, e.joins, e.memo_entries, e.property_values);
+            (c, l, e.sort_plans, sizes)
+        };
+        let opts = EstimateOptions {
+            levels: vec![1, 2, 4],
+            ..Default::default()
+        };
+        for name in cote_workloads::ALL_WORKLOADS {
+            let w = cote_workloads::by_name(name).unwrap();
+            let cfg = OptimizerConfig::high(w.mode);
+            for q in &w.queries {
+                for (b, block) in q.blocks().into_iter().enumerate() {
+                    let at = format!("{name} {} block {b}", q.name);
+                    let serial = key(&estimate_block(&w.catalog, block, &cfg, &opts).unwrap());
+                    for threads in [2, 4] {
+                        let par_opts = EstimateOptions {
+                            enum_threads: threads,
+                            ..opts.clone()
+                        };
+                        let par = estimate_block(&w.catalog, block, &cfg, &par_opts).unwrap();
+                        assert_eq!(key(&par), serial, "{at} @ {threads} threads");
+                    }
+                    let ctx = OptContext::new(&w.catalog, block, &cfg);
+                    let mut v = PlanEstimator::new(&opts, cfg.composite_inner_limit);
+                    let td = cote_optimizer::enumerate_topdown(&ctx, &SimpleCardinality, &mut v)
+                        .unwrap();
+                    let property_values = td
+                        .memo
+                        .iter()
+                        .map(|(_, e)| e.payload.value_count() as u64)
+                        .sum();
+                    let (c, l) = (v.level_counts[0], v.level_counts.clone());
+                    let len = td.memo.len() as u64;
+                    let sizes = (td.pairs, td.joins, len, property_values);
+                    let down = (c, l, v.sort_est, sizes);
+                    assert_eq!(down, serial, "{at} top-down");
+                }
+            }
         }
     }
 

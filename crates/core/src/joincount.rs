@@ -14,7 +14,7 @@ use cote_catalog::Catalog;
 use cote_common::{Result, TableRef};
 use cote_optimizer::cardinality::SimpleCardinality;
 use cote_optimizer::context::OptContext;
-use cote_optimizer::enumerator::{enumerate, JoinSite, JoinVisitor};
+use cote_optimizer::enumerator::{JoinSite, JoinVisitor};
 use cote_optimizer::memo::{EntryId, MemoEntry, MemoStore};
 use cote_optimizer::par::{enumerate_par, ParallelJoinVisitor};
 use cote_optimizer::OptimizerConfig;
@@ -67,11 +67,7 @@ pub fn count_joins(catalog: &Catalog, query: &Query, config: &OptimizerConfig) -
     for block in query.blocks() {
         let ctx = OptContext::new(catalog, block, config);
         let mut v = CountOnly;
-        let out = if config.enum_threads > 1 {
-            enumerate_par(&ctx, &SimpleCardinality, &mut v, config.enum_threads)?
-        } else {
-            enumerate(&ctx, &SimpleCardinality, &mut v)?
-        };
+        let out = enumerate_par(&ctx, &SimpleCardinality, &mut v, config.enum_threads)?;
         pairs += out.pairs;
     }
     Ok(pairs)

@@ -6,6 +6,13 @@
 //! plan-counting mode, so the estimator sees exactly the joins the optimizer
 //! would consider — knobs, outer-join restrictions, Cartesian heuristics and
 //! all — while "simply bypassing plan generation".
+//!
+//! [`process_mask`] is the one place that decides which splits of a table
+//! set are joined (Cartesian admission, composite-inner limit, outer-join
+//! orientation) and creates the joined MEMO entry. The serial walk here, the
+//! parallel walk ([`crate::par`]) and the top-down walk
+//! ([`crate::enumerator_topdown`]) all call it and differ only in the order
+//! they visit table sets.
 
 use crate::cardinality::CardinalityModel;
 use crate::context::OptContext;
@@ -94,32 +101,46 @@ pub fn enumerate<V: JoinVisitor, M: CardinalityModel>(
     model: &M,
     visitor: &mut V,
 ) -> Result<EnumOutcome<V::Payload>> {
-    let block = ctx.block;
-    let n = block.n_tables();
-    if n > MAX_DP_TABLES {
-        return Err(CoteError::TooManyTables { requested: n });
-    }
-    let mut memo: Memo<V::Payload> = Memo::new();
-    base_entries(ctx, model, visitor, &mut memo);
+    let n = dp_tables(ctx)?;
+    let mut memo = base_entries(ctx, model, visitor);
 
     let mut pairs = 0u64;
     let mut joins = 0u64;
-
     for sz in 2..=n {
         // Gosper's hack: all sz-subsets of {0..n-1} in ascending order.
-        for set in TableSet::k_subsets(n, sz) {
-            let (p, j) = process_mask(ctx, model, visitor, &mut memo, set.bits());
-            pairs += p;
-            joins += j;
-        }
+        let masks = TableSet::k_subsets(n, sz).map(|s| s.bits());
+        let (p, j) = process_masks(ctx, model, visitor, &mut memo, masks);
+        pairs += p;
+        joins += j;
     }
+    outcome(ctx, memo, pairs, joins)
+}
 
+/// Number of tables in `ctx.block`, or `TooManyTables` past
+/// [`MAX_DP_TABLES`]. Every enumeration driver checks this first.
+pub(crate) fn dp_tables(ctx: &OptContext<'_>) -> Result<usize> {
+    let n = ctx.block.n_tables();
+    if n > MAX_DP_TABLES {
+        return Err(CoteError::TooManyTables { requested: n });
+    }
+    Ok(n)
+}
+
+/// Wrap a filled MEMO as the outcome of an enumeration driver, rooted at
+/// the entry covering every table of `ctx.block`.
+pub(crate) fn outcome<P>(
+    ctx: &OptContext<'_>,
+    memo: Memo<P>,
+    pairs: u64,
+    joins: u64,
+) -> Result<EnumOutcome<P>> {
     let root = memo
-        .id_of(block.all_tables())
+        .id_of(ctx.block.all_tables())
         .ok_or_else(|| CoteError::NoPlanFound {
             reason: format!(
-                "no join sequence covers all {n} tables (disconnected join graph with Cartesian \
-             products disabled?)"
+                "no join sequence covers all {} tables (disconnected join graph with Cartesian \
+             products disabled?)",
+                ctx.block.n_tables()
             ),
         })?;
     Ok(EnumOutcome {
@@ -130,49 +151,85 @@ pub fn enumerate<V: JoinVisitor, M: CardinalityModel>(
     })
 }
 
-/// Create the single-table MEMO entries (paper Table 3 `initialize`, base
-/// case). Shared between the serial and parallel enumeration drivers.
+/// A MEMO holding the single-table entries (paper Table 3 `initialize`,
+/// base case) in table order. Shared between the serial and parallel
+/// drivers.
 pub(crate) fn base_entries<V: JoinVisitor, M: CardinalityModel>(
     ctx: &OptContext<'_>,
     model: &M,
     visitor: &mut V,
-    memo: &mut Memo<V::Payload>,
-) {
-    let block = ctx.block;
-    let ncols = block.n_interesting_cols();
-    for t in block.table_refs() {
-        let set = TableSet::singleton(t);
-        let eq = EqClasses::new(ncols);
-        let core = MemoEntry {
-            set,
-            cardinality: model.base(ctx, t),
-            eq: eq.clone(),
-            boundary: boundary_classes(block, set, &eq),
-            outer_enabled: outer_enabled(block, set),
-            payload: (),
-        };
-        let payload = visitor.base_payload(ctx, &core, t);
-        let id = memo.insert(MemoEntry {
-            set: core.set,
-            cardinality: core.cardinality,
-            eq: core.eq,
-            boundary: core.boundary,
-            outer_enabled: core.outer_enabled,
-            payload,
-        });
-        visitor.finish_entry(ctx, memo, id);
+) -> Memo<V::Payload> {
+    let mut memo = Memo::new();
+    for t in ctx.block.table_refs() {
+        base_entry(ctx, model, visitor, &mut memo, t);
     }
+    memo
+}
+
+/// Create the MEMO entry of the single table `t` and finish it. Every
+/// driver builds its base entries here.
+pub(crate) fn base_entry<V: JoinVisitor, M: CardinalityModel>(
+    ctx: &OptContext<'_>,
+    model: &M,
+    visitor: &mut V,
+    memo: &mut Memo<V::Payload>,
+    t: TableRef,
+) -> EntryId {
+    let block = ctx.block;
+    let set = TableSet::singleton(t);
+    let eq = EqClasses::new(block.n_interesting_cols());
+    let core = MemoEntry {
+        set,
+        cardinality: model.base(ctx, t),
+        boundary: boundary_classes(block, set, &eq),
+        outer_enabled: outer_enabled(block, set),
+        eq,
+        payload: (),
+    };
+    let payload = visitor.base_payload(ctx, &core, t);
+    let id = memo.insert(core.with_payload(payload));
+    visitor.finish_entry(ctx, memo, id);
+    id
+}
+
+/// Run [`process_mask`] on each of `masks` in order and sum the
+/// `(pairs, joins)` counts: the serial walk, a serially run level of the
+/// parallel walk, or one worker's stripe of a parallel level.
+pub(crate) fn process_masks<V, C, S>(
+    ctx: &OptContext<'_>,
+    model: &C,
+    visitor: &mut V,
+    memo: &mut S,
+    masks: impl IntoIterator<Item = u64>,
+) -> (u64, u64)
+where
+    V: JoinVisitor,
+    C: CardinalityModel,
+    S: MemoStore<V::Payload>,
+{
+    let mut pairs = 0u64;
+    let mut joins = 0u64;
+    for mask in masks {
+        let (p, j) = process_mask(ctx, model, visitor, memo, mask);
+        pairs += p;
+        joins += j;
+    }
+    (pairs, joins)
 }
 
 /// Process one quantifier-set `mask` of the current DP level: enumerate its
 /// unordered splits, lazily create the joined entry, and drive the visitor.
 /// Returns `(pairs, joins)` counted for this mask.
 ///
+/// Every input entry of `mask` that can be built must already be in `memo`:
+/// the bottom-up walks get that from their level order, the top-down walk
+/// by solving each split's inputs first.
+///
 /// Generic over [`MemoStore`] so the body runs identically on the real MEMO
-/// (serial) and on a per-worker [`MemoShard`](crate::memo::MemoShard)
-/// (parallel). Correctness of sharing relies on a DP invariant: both join
-/// inputs of a size-`sz` set have size `< sz`, so within a level every input
-/// lookup hits the frozen prefix.
+/// (serial and top-down) and on a per-worker
+/// [`MemoShard`](crate::memo::MemoShard) (parallel). Correctness of sharing
+/// relies on a DP invariant: both join inputs of a size-`sz` set have size
+/// `< sz`, so within a level every input lookup hits the frozen prefix.
 pub(crate) fn process_mask<V, C, S>(
     ctx: &OptContext<'_>,
     model: &C,
@@ -247,14 +304,7 @@ where
                     payload: (),
                 };
                 let payload = visitor.join_payload(ctx, &core);
-                let id = memo.insert(MemoEntry {
-                    set: core.set,
-                    cardinality: core.cardinality,
-                    eq: core.eq,
-                    boundary: core.boundary,
-                    outer_enabled: core.outer_enabled,
-                    payload,
-                });
+                let id = memo.insert(core.with_payload(payload));
                 created = Some(id);
                 id
             }

@@ -7,19 +7,25 @@
 //! set by recursing into its splits — the Volcano/Cascades exploration
 //! order — driving the *same* [`JoinVisitor`] as the bottom-up enumerator.
 //!
-//! With full memoization (no early stopping) the two enumerators explore the
-//! same join sites, so plan counts and COTE estimates are identical; only
-//! the order in which MEMO entries fill differs. Early *cost-bounded*
-//! stopping — the part the paper defers to future work because it depends on
-//! execution-cost estimates the estimator bypasses — is out of scope here
-//! too, and documented as such.
+//! Top-down is an *order*, not a second enumerator: once both inputs of
+//! every split of a set are solved, the set is joined by the same
+//! [`process_mask`] the bottom-up walks call. So with full memoization (no
+//! early stopping) both walks explore the same join sites by construction,
+//! and plan counts and COTE estimates are identical; only the order in which
+//! MEMO entries fill differs. Early *cost-bounded* stopping — the part the
+//! paper defers to future work because it depends on execution-cost
+//! estimates the estimator bypasses — is out of scope here too, and
+//! documented as such.
+//!
+//! No command, service or benchmark path runs this walker; it is kept as
+//! the paper's §6.2 experiment, exercised by its own tests and the
+//! estimator's walker oracle.
 
 use crate::cardinality::CardinalityModel;
 use crate::context::OptContext;
-use crate::enumerator::{EnumOutcome, JoinSite, JoinVisitor, MAX_DP_TABLES};
-use crate::memo::{boundary_classes, outer_enabled, EntryId, Memo, MemoEntry};
-use cote_common::{CoteError, FxHashMap, Result, TableSet};
-use cote_query::EqClasses;
+use crate::enumerator::{base_entry, dp_tables, outcome, process_mask, EnumOutcome, JoinVisitor};
+use crate::memo::{EntryId, Memo};
+use cote_common::{FxHashMap, Result, TableSet};
 
 struct TopDown<'a, 'c, V: JoinVisitor, M: CardinalityModel> {
     ctx: &'a OptContext<'c>,
@@ -37,135 +43,39 @@ impl<V: JoinVisitor, M: CardinalityModel> TopDown<'_, '_, V, M> {
         if let Some(&done) = self.solved.get(&set.bits()) {
             return done;
         }
-        let result = if set.len() == 1 {
-            Some(self.base(set))
-        } else {
-            self.derive(set)
+        let result = match set.first() {
+            Some(t) if set.len() == 1 => Some(base_entry(
+                self.ctx,
+                self.model,
+                self.visitor,
+                &mut self.memo,
+                t,
+            )),
+            _ => self.derive(set),
         };
         self.solved.insert(set.bits(), result);
         result
     }
 
-    fn base(&mut self, set: TableSet) -> EntryId {
-        let t = set.first().expect("singleton");
-        let block = self.ctx.block;
-        let eq = EqClasses::new(block.n_interesting_cols());
-        let core = MemoEntry {
-            set,
-            cardinality: self.model.base(self.ctx, t),
-            boundary: boundary_classes(block, set, &eq),
-            outer_enabled: outer_enabled(block, set),
-            eq,
-            payload: (),
-        };
-        let payload = self.visitor.base_payload(self.ctx, &core, t);
-        let id = self.memo.insert(MemoEntry {
-            set: core.set,
-            cardinality: core.cardinality,
-            eq: core.eq,
-            boundary: core.boundary,
-            outer_enabled: core.outer_enabled,
-            payload,
-        });
-        self.visitor.finish_entry(self.ctx, &mut self.memo, id);
-        id
-    }
-
     fn derive(&mut self, set: TableSet) -> Option<EntryId> {
-        let block = self.ctx.block;
-        let inner_limit = self.ctx.config.composite_inner_limit;
-        let thr = self.ctx.config.cartesian_card_threshold;
-        let mut created: Option<EntryId> = None;
-
+        // Goal-driven recursion: derive the inputs of every split first.
         for a_set in set.proper_subsets() {
             let b_set = set.difference(a_set);
-            if a_set.bits() >= b_set.bits() {
-                continue;
+            if a_set.bits() < b_set.bits() {
+                self.solve(a_set);
+                self.solve(b_set);
             }
-            // Goal-driven recursion: derive the inputs first.
-            let (Some(a_id), Some(b_id)) = (self.solve(a_set), self.solve(b_set)) else {
-                continue;
-            };
-            let preds = block.preds_between(a_set, b_set);
-            if preds.is_empty() {
-                let ca = self.memo.cardinality(a_id);
-                let cb = self.memo.cardinality(b_id);
-                if !(self.ctx.config.cartesian_card_one && (ca <= thr || cb <= thr)) {
-                    continue;
-                }
-            }
-            let null_in = |s: TableSet| {
-                preds
-                    .iter()
-                    .all(|&pi| match block.join_preds()[pi].outer_join {
-                        None => true,
-                        Some(oid) => s.contains(block.outer_joins()[oid as usize].null_side),
-                    })
-            };
-            let a_outer_ok =
-                self.memo.outer_enabled(a_id) && b_set.len() <= inner_limit && null_in(b_set);
-            let b_outer_ok =
-                self.memo.outer_enabled(b_id) && a_set.len() <= inner_limit && null_in(a_set);
-            if !a_outer_ok && !b_outer_ok {
-                continue;
-            }
-
-            let joined = match created {
-                Some(j) => j,
-                None => {
-                    let mut eq = self.memo.eq_classes(a_id).clone();
-                    eq.absorb(self.memo.eq_classes(b_id));
-                    for &pi in &preds {
-                        let p = &block.join_preds()[pi];
-                        eq.union(
-                            block.col_id(p.left).expect("interned"),
-                            block.col_id(p.right).expect("interned"),
-                        );
-                    }
-                    let cardinality = self.model.join(
-                        self.ctx,
-                        self.memo.cardinality(a_id),
-                        self.memo.cardinality(b_id),
-                        &preds,
-                    );
-                    let core = MemoEntry {
-                        set,
-                        cardinality,
-                        boundary: boundary_classes(block, set, &eq),
-                        outer_enabled: outer_enabled(block, set),
-                        eq,
-                        payload: (),
-                    };
-                    let payload = self.visitor.join_payload(self.ctx, &core);
-                    let id = self.memo.insert(MemoEntry {
-                        set: core.set,
-                        cardinality: core.cardinality,
-                        eq: core.eq,
-                        boundary: core.boundary,
-                        outer_enabled: core.outer_enabled,
-                        payload,
-                    });
-                    created = Some(id);
-                    id
-                }
-            };
-
-            self.pairs += 1;
-            self.joins += u64::from(a_outer_ok) + u64::from(b_outer_ok);
-            let site = JoinSite {
-                a: a_id,
-                b: b_id,
-                joined,
-                preds,
-                a_outer_ok,
-                b_outer_ok,
-            };
-            self.visitor.on_join(self.ctx, &mut self.memo, &site);
         }
-        if let Some(id) = created {
-            self.visitor.finish_entry(self.ctx, &mut self.memo, id);
-        }
-        created
+        let (p, j) = process_mask(
+            self.ctx,
+            self.model,
+            self.visitor,
+            &mut self.memo,
+            set.bits(),
+        );
+        self.pairs += p;
+        self.joins += j;
+        self.memo.id_of(set)
     }
 }
 
@@ -179,10 +89,7 @@ pub fn enumerate_topdown<V: JoinVisitor, M: CardinalityModel>(
     model: &M,
     visitor: &mut V,
 ) -> Result<EnumOutcome<V::Payload>> {
-    let n = ctx.block.n_tables();
-    if n > MAX_DP_TABLES {
-        return Err(CoteError::TooManyTables { requested: n });
-    }
+    dp_tables(ctx)?;
     let mut td = TopDown {
         ctx,
         model,
@@ -192,20 +99,8 @@ pub fn enumerate_topdown<V: JoinVisitor, M: CardinalityModel>(
         pairs: 0,
         joins: 0,
     };
-    let root = td
-        .solve(ctx.block.all_tables())
-        .ok_or_else(|| CoteError::NoPlanFound {
-            reason: format!(
-                "no join sequence covers all {n} tables (disconnected join graph with Cartesian \
-             products disabled?)"
-            ),
-        })?;
-    Ok(EnumOutcome {
-        memo: td.memo,
-        root,
-        pairs: td.pairs,
-        joins: td.joins,
-    })
+    td.solve(ctx.block.all_tables());
+    outcome(ctx, td.memo, td.pairs, td.joins)
 }
 
 #[cfg(test)]
@@ -216,7 +111,7 @@ mod tests {
     use crate::enumerator::enumerate;
     use crate::plangen::RealPlanGen;
     use cote_catalog::{Catalog, ColumnDef, IndexDef, TableDef};
-    use cote_common::{ColRef, TableId, TableRef};
+    use cote_common::{ColRef, CoteError, TableId, TableRef};
     use cote_query::QueryBlockBuilder;
 
     fn catalog(n: usize) -> Catalog {
@@ -253,36 +148,72 @@ mod tests {
         b.build(cat).unwrap()
     }
 
+    /// One single-row table and two 100-row tables joined to each other:
+    /// at the default config the Cartesian-card-1 heuristic admits the
+    /// single-row table against either big table, and against their join
+    /// inside the full set.
+    fn one_row_and_two_big() -> (Catalog, cote_query::QueryBlock) {
+        let mut b = Catalog::builder();
+        for (name, rows, ndv) in [
+            ("one", 1.0, 1.0),
+            ("big", 100.0, 10.0),
+            ("big2", 100.0, 10.0),
+        ] {
+            let c0 = ColumnDef::uniform("c0", rows, ndv);
+            b.add_table(TableDef::new(name, rows, vec![c0]));
+        }
+        let cat = b.build().unwrap();
+        let mut qb = QueryBlockBuilder::new();
+        for i in 0..3 {
+            qb.add_table(TableId(i));
+        }
+        qb.join(col(1, 0), col(2, 0));
+        let block = qb.build(&cat).unwrap();
+        (cat, block)
+    }
+
+    /// Enumerate `block` both ways with the real plan generator and check
+    /// that counts and kept plans agree; returns the pairs enumerated.
+    fn assert_same_join_sites(cat: &Catalog, block: &cote_query::QueryBlock, at: &str) -> u64 {
+        let cfg = OptimizerConfig::high(Mode::Serial);
+        let ctx = OptContext::new(cat, block, &cfg);
+        let mut up = RealPlanGen::new(None);
+        let bu = enumerate(&ctx, &FullCardinality, &mut up).unwrap();
+        let mut down = RealPlanGen::new(None);
+        let td = enumerate_topdown(&ctx, &FullCardinality, &mut down).unwrap();
+        assert_eq!(bu.pairs, td.pairs, "{at}");
+        assert_eq!(bu.joins, td.joins, "{at}");
+        assert_eq!(bu.memo.len(), td.memo.len(), "{at}");
+        assert_eq!(
+            up.stats.plans_generated, down.stats.plans_generated,
+            "identical plans generated, {at}"
+        );
+        // Kept plans agree entry by entry.
+        for (_, e) in bu.memo.iter() {
+            let other = td.memo.entry(td.memo.id_of(e.set).expect("same sets"));
+            assert_eq!(
+                e.payload.plans.len(),
+                other.payload.plans.len(),
+                "{at} {}",
+                e.set
+            );
+            assert!((e.cardinality - other.cardinality).abs() < 1e-9);
+        }
+        td.pairs
+    }
+
     #[test]
     fn topdown_explores_the_same_join_sites_as_bottom_up() {
         let cat = catalog(6);
         for orderby in [false, true] {
             let block = star(&cat, 6, orderby);
-            let cfg = OptimizerConfig::high(Mode::Serial);
-            let ctx = OptContext::new(&cat, &block, &cfg);
-            let mut up = RealPlanGen::new(None);
-            let bu = enumerate(&ctx, &FullCardinality, &mut up).unwrap();
-            let mut down = RealPlanGen::new(None);
-            let td = enumerate_topdown(&ctx, &FullCardinality, &mut down).unwrap();
-            assert_eq!(bu.pairs, td.pairs);
-            assert_eq!(bu.joins, td.joins);
-            assert_eq!(bu.memo.len(), td.memo.len());
-            assert_eq!(
-                up.stats.plans_generated, down.stats.plans_generated,
-                "identical plans generated, orderby={orderby}"
-            );
-            // Kept plans agree entry by entry.
-            for (_, e) in bu.memo.iter() {
-                let other = td.memo.entry(td.memo.id_of(e.set).expect("same sets"));
-                assert_eq!(
-                    e.payload.plans.len(),
-                    other.payload.plans.len(),
-                    "{}",
-                    e.set
-                );
-                assert!((e.cardinality - other.cardinality).abs() < 1e-9);
-            }
+            assert_same_join_sites(&cat, &block, &format!("orderby={orderby}"));
         }
+        let (cat, block) = one_row_and_two_big();
+        let pairs = assert_same_join_sites(&cat, &block, "Cartesian");
+        // {one,big}, {one,big2} and {one}×{big,big2} are Cartesian; the
+        // other three splits carry the big-big2 predicate.
+        assert_eq!(pairs, 6, "Cartesian pairs admitted at the default config");
     }
 
     #[test]

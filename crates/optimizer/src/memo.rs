@@ -73,6 +73,18 @@ impl<P> MemoEntry<P> {
             payload: &self.payload,
         }
     }
+
+    /// The same entry core carrying `payload` instead.
+    pub(crate) fn with_payload<Q>(self, payload: Q) -> MemoEntry<Q> {
+        MemoEntry {
+            set: self.set,
+            cardinality: self.cardinality,
+            eq: self.eq,
+            boundary: self.boundary,
+            outer_enabled: self.outer_enabled,
+            payload,
+        }
+    }
 }
 
 /// A borrowed view of one stored MEMO entry.

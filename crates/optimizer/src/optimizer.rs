@@ -4,7 +4,6 @@ use crate::cardinality::FullCardinality;
 use crate::config::OptimizerConfig;
 use crate::context::OptContext;
 use crate::cost::{group_cost, sort_cost, Cost};
-use crate::enumerator::enumerate;
 use crate::greedy::GreedyOptimizer;
 use crate::instrument::{self, CompileStats};
 use crate::memo::Memo;
@@ -110,11 +109,7 @@ impl Optimizer {
 
         let mut gen = RealPlanGen::new(pilot_bound);
         let enum_span = Span::enter(phase::ENUMERATE);
-        let outcome = if self.config.enum_threads > 1 {
-            enumerate_par(&ctx, &FullCardinality, &mut gen, self.config.enum_threads)?
-        } else {
-            enumerate(&ctx, &FullCardinality, &mut gen)?
-        };
+        let outcome = enumerate_par(&ctx, &FullCardinality, &mut gen, self.config.enum_threads)?;
         // Enumeration skeleton = the span's self time: everything the phase
         // buckets (nljn/mgjn/hsjn/save/scan/finalize child spans) did not
         // absorb, with no hand-threaded subtraction.

@@ -18,10 +18,11 @@
 use crate::cardinality::CardinalityModel;
 use crate::context::OptContext;
 use crate::enumerator::{
-    base_entries, enumerate, level_masks, process_mask, EnumOutcome, JoinVisitor, MAX_DP_TABLES,
+    base_entries, dp_tables, enumerate, level_masks, outcome, process_masks, EnumOutcome,
+    JoinVisitor,
 };
-use crate::memo::{Memo, MemoEntry, MemoShard};
-use cote_common::{CoteError, Result};
+use crate::memo::{MemoEntry, MemoShard};
+use cote_common::Result;
 use cote_obs::{phase, Counter, Gauge, LogHistogram, Span};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -105,13 +106,8 @@ where
     if threads <= 1 {
         return enumerate(ctx, model, visitor);
     }
-    let block = ctx.block;
-    let n = block.n_tables();
-    if n > MAX_DP_TABLES {
-        return Err(CoteError::TooManyTables { requested: n });
-    }
-    let mut memo: Memo<V::Payload> = Memo::new();
-    base_entries(ctx, model, visitor, &mut memo);
+    let n = dp_tables(ctx)?;
+    let mut memo = base_entries(ctx, model, visitor);
 
     let mut pairs = 0u64;
     let mut joins = 0u64;
@@ -123,11 +119,9 @@ where
             // Degenerate level: run it serially on the main visitor. The
             // MEMO and payloads are identical either way; this only skips
             // pool setup.
-            for &mask in &masks {
-                let (p, j) = process_mask(ctx, model, visitor, &mut memo, mask);
-                pairs += p;
-                joins += j;
-            }
+            let (p, j) = process_masks(ctx, model, visitor, &mut memo, masks);
+            pairs += p;
+            joins += j;
             continue;
         }
 
@@ -155,12 +149,7 @@ where
                     s.spawn(move || {
                         let busy = Instant::now();
                         let mut shard = MemoShard::new(frozen);
-                        let (mut p, mut j) = (0u64, 0u64);
-                        for mask in stripe {
-                            let (dp, dj) = process_mask(ctx, model, &mut wv, &mut shard, mask);
-                            p += dp;
-                            j += dj;
-                        }
+                        let (p, j) = process_masks(ctx, model, &mut wv, &mut shard, stripe);
                         (wv, shard.into_locals(), p, j, busy.elapsed())
                     })
                 })
@@ -204,20 +193,7 @@ where
         span.close();
     }
 
-    let root = memo
-        .id_of(block.all_tables())
-        .ok_or_else(|| CoteError::NoPlanFound {
-            reason: format!(
-                "no join sequence covers all {n} tables (disconnected join graph with Cartesian \
-             products disabled?)"
-            ),
-        })?;
-    Ok(EnumOutcome {
-        memo,
-        root,
-        pairs,
-        joins,
-    })
+    outcome(ctx, memo, pairs, joins)
 }
 
 #[cfg(test)]
@@ -227,7 +203,7 @@ mod tests {
     use crate::config::{Mode, OptimizerConfig};
     use crate::memo::MemoStore;
     use cote_catalog::{Catalog, ColumnDef, TableDef};
-    use cote_common::{ColRef, TableId, TableRef};
+    use cote_common::{ColRef, CoteError, TableId, TableRef};
     use cote_query::QueryBlockBuilder;
 
     /// Counting visitor whose workers are independent counters, summed back.
