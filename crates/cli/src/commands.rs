@@ -775,8 +775,8 @@ fn bench_all_json(rows: &[WorkloadBench], repeat: usize) -> String {
             b.plans_generated as f64 / b.elapsed_seconds.max(1e-12)
         ));
         out.push_str(&format!(
-            "      \"enumeration_plans_per_second\": {:.1},\n",
-            b.plans_generated as f64 / b.phase_seconds[0].max(1e-12)
+            "      \"enumeration_pairs_per_second\": {:.1},\n",
+            b.pairs_enumerated as f64 / b.phase_seconds[0].max(1e-12)
         ));
         out.push_str(&format!(
             "      \"cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}}}\n",
@@ -1073,7 +1073,7 @@ mod tests {
         assert!(rows[0].elapsed_seconds > 0.0);
         assert!(bench_all(&["--bogus".into()]).is_err());
         assert!(bench_all(&["--repeat".into(), "x".into()]).is_err());
-        assert!(json.contains("\"enumeration_plans_per_second\""), "{json}");
+        assert!(json.contains("\"enumeration_pairs_per_second\""), "{json}");
 
         // The rendered JSON round-trips through the baseline scanner.
         let base = parse_baseline(&json);

@@ -13,12 +13,23 @@
 //! parallel walk ([`crate::par`]) and the top-down walk
 //! ([`crate::enumerator_topdown`]) all call it and differ only in the order
 //! they visit table sets.
+//!
+//! The bottom-up walks offer `process_mask` only connected splits: a
+//! per-block [`CsgCmpPairs`] list of csg–cmp pairs (DPccp), grouped by
+//! joined set in exactly the order the exhaustive subset walk offers them,
+//! so MEMO ids and the sequence of visitor calls stay those of the subset
+//! walk. The card-1 Cartesian heuristic can admit disconnected splits,
+//! which no pair list holds; [`LevelSource`] therefore sends a level to the
+//! exhaustive walk once some MEMO entry built so far has a cardinality at
+//! or below the heuristic's threshold. Enumeration work thus scales with
+//! the joins counted, not with the `3^n` splits of all subsets.
 
 use crate::cardinality::CardinalityModel;
 use crate::context::OptContext;
 use crate::memo::{boundary_classes, outer_enabled, EntryId, Memo, MemoEntry, MemoStore};
 use cote_common::{CoteError, InlineVec, Result, TableRef, TableSet};
-use cote_query::EqClasses;
+use cote_query::{EqClasses, JoinGraph};
+use std::ops::{ControlFlow, Range};
 
 /// Hard cap on block size for full DP enumeration (subset blow-up guard).
 pub const MAX_DP_TABLES: usize = 22;
@@ -92,6 +103,25 @@ pub struct EnumOutcome<P> {
     pub pairs: u64,
     /// Ordered (outer, inner) orientations enumerated.
     pub joins: u64,
+    /// Candidate splits examined: the connected pairs on levels read from
+    /// the pair list, every split on levels that take the exhaustive walk.
+    pub candidates: u64,
+}
+
+/// Work counts of a walk or of any part of one.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Tally {
+    pub pairs: u64,
+    pub joins: u64,
+    pub candidates: u64,
+}
+
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, o: Tally) {
+        self.pairs += o.pairs;
+        self.joins += o.joins;
+        self.candidates += o.candidates;
+    }
 }
 
 /// Run bottom-up DP enumeration for `ctx.block`, consulting `model` for the
@@ -103,17 +133,13 @@ pub fn enumerate<V: JoinVisitor, M: CardinalityModel>(
 ) -> Result<EnumOutcome<V::Payload>> {
     let n = dp_tables(ctx)?;
     let mut memo = base_entries(ctx, model, visitor);
-
-    let mut pairs = 0u64;
-    let mut joins = 0u64;
+    let mut source = LevelSource::new();
+    let mut tally = Tally::default();
     for sz in 2..=n {
-        // Gosper's hack: all sz-subsets of {0..n-1} in ascending order.
-        let masks = TableSet::k_subsets(n, sz).map(|s| s.bits());
-        let (p, j) = process_masks(ctx, model, visitor, &mut memo, masks);
-        pairs += p;
-        joins += j;
+        let level = source.level(ctx, &memo, sz);
+        tally += process_level(ctx, model, visitor, &mut memo, &level, 0, 1);
     }
-    outcome(ctx, memo, pairs, joins)
+    outcome(ctx, memo, tally)
 }
 
 /// Number of tables in `ctx.block`, or `TooManyTables` past
@@ -131,8 +157,7 @@ pub(crate) fn dp_tables(ctx: &OptContext<'_>) -> Result<usize> {
 pub(crate) fn outcome<P>(
     ctx: &OptContext<'_>,
     memo: Memo<P>,
-    pairs: u64,
-    joins: u64,
+    tally: Tally,
 ) -> Result<EnumOutcome<P>> {
     let root = memo
         .id_of(ctx.block.all_tables())
@@ -146,8 +171,9 @@ pub(crate) fn outcome<P>(
     Ok(EnumOutcome {
         memo,
         root,
-        pairs,
-        joins,
+        pairs: tally.pairs,
+        joins: tally.joins,
+        candidates: tally.candidates,
     })
 }
 
@@ -192,34 +218,294 @@ pub(crate) fn base_entry<V: JoinVisitor, M: CardinalityModel>(
     id
 }
 
-/// Run [`process_mask`] on each of `masks` in order and sum the
-/// `(pairs, joins)` counts: the serial walk, a serially run level of the
-/// parallel walk, or one worker's stripe of a parallel level.
-pub(crate) fn process_masks<V, C, S>(
+/// Blocks with more connected pairs than this take the exhaustive walk on
+/// every level, which bounds a pair list at 4 MB. Such a block costs
+/// seconds of enumeration either way; only dense graphs of 14 or more
+/// tables reach it.
+const MAX_LISTED_PAIRS: usize = 1 << 20;
+
+/// The block's connected splits — csg–cmp pairs (Moerkotte & Neumann,
+/// DPccp) — grouped by joined table set in the bottom-up walk's order:
+/// level ascending, then mask ascending, then the smaller-bits side `a`
+/// descending. That is the order in which [`all_splits`] offers the splits
+/// of each set, so a walk over this list makes the same `on_join` calls and
+/// creates the same MEMO ids as the exhaustive walk, whenever the
+/// exhaustive walk could only admit connected splits. Masks fit in `u32`
+/// because blocks have at most [`MAX_DP_TABLES`] tables.
+pub(crate) struct CsgCmpPairs {
+    /// Connected table sets of two or more tables, one per group.
+    masks: Vec<u32>,
+    /// One past the last split of each group in `splits`.
+    ends: Vec<u32>,
+    /// The side `a` of each split; `b` is the group's mask minus `a`.
+    splits: Vec<u32>,
+    /// Groups of `sz` tables are `levels[sz]..levels[sz + 1]`.
+    levels: Vec<u32>,
+}
+
+impl CsgCmpPairs {
+    /// The list for `graph`'s `n` tables, or `None` past
+    /// [`MAX_LISTED_PAIRS`].
+    fn new(graph: &JoinGraph, n: usize) -> Option<Self> {
+        // Counting sort by joined set, over two passes of the same
+        // enumeration: `slot` (indexed by mask, 4·2^n bytes for this call)
+        // counts each group, then holds its next free position while the
+        // pairs are placed, and finally its end. Every connected set of two
+        // or more tables has a connected split, so the joined sets are the
+        // groups.
+        let mut slot = vec![0u32; 1 << n];
+        let mut masks = Vec::new();
+        let mut total = 0;
+        let over = for_each_ccp(graph, n, &mut |s1, s2| {
+            if total == MAX_LISTED_PAIRS {
+                return ControlFlow::Break(());
+            }
+            total += 1;
+            let joined = (s1 | s2) as u32;
+            if slot[joined as usize] == 0 {
+                masks.push(joined);
+            }
+            slot[joined as usize] += 1;
+            ControlFlow::Continue(())
+        });
+        if over.is_break() {
+            return None;
+        }
+        masks.sort_unstable_by_key(|&m| (m.count_ones(), m));
+        let mut next = 0;
+        for &m in &masks {
+            next += std::mem::replace(&mut slot[m as usize], next);
+        }
+        let mut splits = vec![0u32; total];
+        let _ = for_each_ccp(graph, n, &mut |s1, s2| {
+            let at = &mut slot[(s1 | s2) as usize];
+            splits[*at as usize] = s1.min(s2) as u32;
+            *at += 1;
+            ControlFlow::Continue(())
+        });
+        let ends: Vec<u32> = masks.iter().map(|&m| slot[m as usize]).collect();
+        let mut start = 0;
+        for &end in &ends {
+            splits[start..end as usize].sort_unstable_by(|x, y| y.cmp(x));
+            start = end as usize;
+        }
+        let mut levels = vec![0u32; n + 2];
+        for &m in &masks {
+            levels[m.count_ones() as usize + 1] += 1;
+        }
+        for sz in 1..levels.len() {
+            levels[sz] += levels[sz - 1];
+        }
+        Some(Self {
+            masks,
+            ends,
+            splits,
+            levels,
+        })
+    }
+
+    /// Number of listed splits.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.splits.len()
+    }
+
+    fn range(&self, g: usize) -> Range<usize> {
+        let start = if g == 0 { 0 } else { self.ends[g - 1] as usize };
+        start..self.ends[g] as usize
+    }
+
+    /// The groups of level `sz`.
+    fn level(&self, sz: usize) -> Range<usize> {
+        self.levels[sz] as usize..self.levels[sz + 1] as usize
+    }
+}
+
+/// Call `f` on every connected subset of the graph on tables `0..n`, each
+/// once (DPccp's EnumerateCsg): grow every table `i` through its
+/// neighbors numbered above `i`.
+fn for_each_csg(
+    graph: &JoinGraph,
+    n: usize,
+    f: &mut impl FnMut(u64) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    for i in (0..n).rev() {
+        let v = 1u64 << i;
+        f(v)?;
+        grow(graph, v, v | (v - 1), f)?;
+    }
+    ControlFlow::Continue(())
+}
+
+/// Call `f` on every unordered pair of disjoint, connected, adjacent table
+/// sets, each once (DPccp's EnumerateCmp over every connected `s1`).
+fn for_each_ccp(
+    graph: &JoinGraph,
+    n: usize,
+    f: &mut impl FnMut(u64, u64) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    for_each_csg(graph, n, &mut |s1| {
+        let low = s1 & s1.wrapping_neg();
+        let excluded = s1 | low | (low - 1);
+        let nb = neighbors(graph, s1) & !excluded;
+        let mut rest = nb;
+        while rest != 0 {
+            let v = 1u64 << (63 - rest.leading_zeros());
+            rest ^= v;
+            f(s1, v)?;
+            grow(graph, v, excluded | (nb & (v | (v - 1))), &mut |s2| {
+                f(s1, s2)
+            })?;
+        }
+        ControlFlow::Continue(())
+    })
+}
+
+/// Call `f` on every connected strict superset of the connected set `s`
+/// that adds only tables outside `excluded` (DPccp's EnumerateCsgRec;
+/// `excluded` contains `s`).
+fn grow(
+    graph: &JoinGraph,
+    s: u64,
+    excluded: u64,
+    f: &mut impl FnMut(u64) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let nb = neighbors(graph, s) & !excluded;
+    let mut t = nb;
+    while t != 0 {
+        f(s | t)?;
+        t = (t - 1) & nb;
+    }
+    let mut t = nb;
+    while t != 0 {
+        grow(graph, s | t, excluded | nb, f)?;
+        t = (t - 1) & nb;
+    }
+    ControlFlow::Continue(())
+}
+
+fn neighbors(graph: &JoinGraph, s: u64) -> u64 {
+    graph.neighbors_of_set(TableSet::from_bits(s)).bits()
+}
+
+/// Every split of `mask` in the exhaustive walk's order: the side `a`
+/// with the smaller bits (it lacks the highest table of `mask`) over all
+/// non-empty subsets of the remaining tables, descending.
+pub(crate) fn all_splits(mask: u64) -> impl Iterator<Item = u64> {
+    debug_assert_ne!(mask, 0);
+    let rest = mask & !(1u64 << (63 - mask.leading_zeros()));
+    std::iter::successors(Some(rest), move |&a| Some(a.wrapping_sub(1) & rest))
+        .take_while(|&a| a != 0)
+}
+
+/// Where one DP level takes its candidate splits from.
+pub(crate) enum Level<'a> {
+    /// These groups of the block's connected-pair list.
+    Connected(&'a CsgCmpPairs, Range<usize>),
+    /// Every `sz`-subset of the `n` tables, ascending, with every split.
+    Exhaustive { n: usize, sz: usize },
+}
+
+impl Level<'_> {
+    /// Number of table sets the level visits.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Level::Connected(_, groups) => groups.len(),
+            Level::Exhaustive { n, sz } => (0..*sz).fold(1, |c, i| c * (n - i) / (i + 1)),
+        }
+    }
+}
+
+/// Picks each DP level's candidate source from what the MEMO built so far
+/// shows. Without the Cartesian heuristic, or while no entry has a
+/// cardinality at or below its threshold, every MEMO entry is connected and
+/// every admissible split is a connected pair, so the pair list is complete
+/// for the level; otherwise the level takes the exhaustive walk. Both
+/// sources feed the same [`process_mask`], so the choice changes no result.
+pub(crate) struct LevelSource {
+    /// The block's pair list, built by the first level that reads it
+    /// (`Some(None)` past [`MAX_LISTED_PAIRS`]).
+    pairs: Option<Option<CsgCmpPairs>>,
+    /// Smallest cardinality among the first `seen` MEMO entries.
+    min_card: f64,
+    seen: usize,
+}
+
+impl LevelSource {
+    pub(crate) fn new() -> Self {
+        Self {
+            pairs: None,
+            min_card: f64::INFINITY,
+            seen: 0,
+        }
+    }
+
+    /// The candidate source of level `sz`, given the MEMO of levels `< sz`.
+    pub(crate) fn level<P>(
+        &mut self,
+        ctx: &OptContext<'_>,
+        memo: &Memo<P>,
+        sz: usize,
+    ) -> Level<'_> {
+        let n = ctx.block.n_tables();
+        for id in self.seen..memo.len() {
+            self.min_card = self.min_card.min(memo.cardinality(EntryId(id as u32)));
+        }
+        self.seen = memo.len();
+        let cfg = ctx.config;
+        if !(cfg.cartesian_card_one && self.min_card <= cfg.cartesian_card_threshold) {
+            let pairs = self
+                .pairs
+                .get_or_insert_with(|| CsgCmpPairs::new(&ctx.graph, n));
+            if let Some(pairs) = pairs {
+                let groups = pairs.level(sz);
+                return Level::Connected(pairs, groups);
+            }
+        }
+        Level::Exhaustive { n, sz }
+    }
+}
+
+/// Run [`process_mask`] on the level's table sets `first`, `first + step`,
+/// … in order and sum their counts: a whole level of the serial walk, or
+/// one worker's stripe of a parallel level.
+pub(crate) fn process_level<V, C, S>(
     ctx: &OptContext<'_>,
     model: &C,
     visitor: &mut V,
     memo: &mut S,
-    masks: impl IntoIterator<Item = u64>,
-) -> (u64, u64)
+    level: &Level<'_>,
+    first: usize,
+    step: usize,
+) -> Tally
 where
     V: JoinVisitor,
     C: CardinalityModel,
     S: MemoStore<V::Payload>,
 {
-    let mut pairs = 0u64;
-    let mut joins = 0u64;
-    for mask in masks {
-        let (p, j) = process_mask(ctx, model, visitor, memo, mask);
-        pairs += p;
-        joins += j;
+    let mut tally = Tally::default();
+    match level {
+        Level::Connected(pairs, groups) => {
+            for g in groups.clone().skip(first).step_by(step) {
+                let splits = pairs.splits[pairs.range(g)].iter().map(|&a| u64::from(a));
+                let mask = u64::from(pairs.masks[g]);
+                tally += process_mask(ctx, model, visitor, memo, mask, splits);
+            }
+        }
+        &Level::Exhaustive { n, sz } => {
+            for set in TableSet::k_subsets(n, sz).skip(first).step_by(step) {
+                let mask = set.bits();
+                tally += process_mask(ctx, model, visitor, memo, mask, all_splits(mask));
+            }
+        }
     }
-    (pairs, joins)
+    tally
 }
 
-/// Process one quantifier-set `mask` of the current DP level: enumerate its
-/// unordered splits, lazily create the joined entry, and drive the visitor.
-/// Returns `(pairs, joins)` counted for this mask.
+/// Process one quantifier-set `mask` of the current DP level: try each of
+/// its candidate `splits` (the smaller-bits side `a` of an unordered split,
+/// in [`all_splits`] order or a subsequence of it), lazily create the
+/// joined entry, and drive the visitor. Returns the counts for this mask.
 ///
 /// Every input entry of `mask` that can be built must already be in `memo`:
 /// the bottom-up walks get that from their level order, the top-down walk
@@ -236,7 +522,8 @@ pub(crate) fn process_mask<V, C, S>(
     visitor: &mut V,
     memo: &mut S,
     mask: u64,
-) -> (u64, u64)
+    splits: impl IntoIterator<Item = u64>,
+) -> Tally
 where
     V: JoinVisitor,
     C: CardinalityModel,
@@ -246,14 +533,12 @@ where
     let inner_limit = ctx.config.composite_inner_limit;
     let thr = ctx.config.cartesian_card_threshold;
     let set = TableSet::from_bits(mask);
-    let mut pairs = 0u64;
-    let mut joins = 0u64;
+    let mut tally = Tally::default();
     let mut created: Option<EntryId> = None;
-    for a_set in set.proper_subsets() {
+    for a in splits {
+        tally.candidates += 1;
+        let a_set = TableSet::from_bits(a);
         let b_set = set.difference(a_set);
-        if a_set.bits() >= b_set.bits() {
-            continue; // visit each unordered split once
-        }
         let (Some(a_id), Some(b_id)) = (memo.id_of(a_set), memo.id_of(b_set)) else {
             continue;
         };
@@ -310,8 +595,8 @@ where
             }
         };
 
-        pairs += 1;
-        joins += u64::from(a_outer_ok) + u64::from(b_outer_ok);
+        tally.pairs += 1;
+        tally.joins += u64::from(a_outer_ok) + u64::from(b_outer_ok);
         let site = JoinSite {
             a: a_id,
             b: b_id,
@@ -325,25 +610,19 @@ where
     if let Some(id) = created {
         visitor.finish_entry(ctx, memo, id);
     }
-    (pairs, joins)
-}
-
-/// All `sz`-subsets of `{0..n-1}` as bit masks in ascending order (Gosper's
-/// hack, materialized — the parallel driver stripes this list over workers).
-/// Ascending order is load-bearing: the shard merge re-inserts entries in
-/// ascending `set.bits()` order to reproduce serial ids.
-pub(crate) fn level_masks(n: usize, sz: usize) -> Vec<u64> {
-    TableSet::k_subsets(n, sz).map(|s| s.bits()).collect()
+    tally
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cardinality::FullCardinality;
+    use crate::cardinality::{FullCardinality, SimpleCardinality};
     use crate::config::{Mode, OptimizerConfig};
-    use cote_catalog::{Catalog, ColumnDef, TableDef};
+    use crate::par::{enumerate_par, ParallelJoinVisitor};
+    use cote_catalog::{Catalog, ColumnDef, NodeGroup, TableDef};
     use cote_common::{ColRef, TableId};
     use cote_query::QueryBlockBuilder;
+    use cote_workloads::generators::{GraphShape, QuerySpec};
 
     /// Visitor that only counts.
     #[derive(Default)]
@@ -595,5 +874,293 @@ mod tests {
         // col(i,0) to col(i+1,0), so yes: one class.
         assert!(root.eq.equivalent(c0_0, c0_2));
         assert!(root.boundary.is_empty(), "root has no future joins");
+    }
+
+    /// The reference walk: every `sz`-subset of every level, every split
+    /// offered by the submask walk.
+    fn enumerate_exhaustive<V: JoinVisitor, M: CardinalityModel>(
+        ctx: &OptContext<'_>,
+        model: &M,
+        visitor: &mut V,
+    ) -> Result<EnumOutcome<V::Payload>> {
+        let n = dp_tables(ctx)?;
+        let mut memo = base_entries(ctx, model, visitor);
+        let mut tally = Tally::default();
+        for sz in 2..=n {
+            let masks = TableSet::k_subsets(n, sz).map(|s| s.bits());
+            tally += process_masks(ctx, model, visitor, &mut memo, masks);
+        }
+        outcome(ctx, memo, tally)
+    }
+
+    /// [`process_mask`] on each of `masks`, offering every split whose
+    /// side `a` has the smaller bits, in submask-walk order.
+    fn process_masks<V: JoinVisitor, M: CardinalityModel>(
+        ctx: &OptContext<'_>,
+        model: &M,
+        visitor: &mut V,
+        memo: &mut Memo<V::Payload>,
+        masks: impl IntoIterator<Item = u64>,
+    ) -> Tally {
+        let mut tally = Tally::default();
+        for mask in masks {
+            let splits = TableSet::from_bits(mask)
+                .proper_subsets()
+                .map(TableSet::bits)
+                .filter(|&a| a < mask ^ a);
+            tally += process_mask(ctx, model, visitor, memo, mask, splits);
+        }
+        tally
+    }
+
+    /// Records every join site as table sets and orientation flags.
+    #[derive(Default)]
+    struct Recorder {
+        sites: Vec<(TableSet, TableSet, TableSet, bool, bool)>,
+    }
+
+    impl JoinVisitor for Recorder {
+        type Payload = ();
+        fn base_payload(&mut self, _: &OptContext<'_>, _: &MemoEntry<()>, _: TableRef) {}
+        fn join_payload(&mut self, _: &OptContext<'_>, _: &MemoEntry<()>) {}
+        fn on_join<M: MemoStore<()>>(&mut self, _: &OptContext<'_>, memo: &mut M, s: &JoinSite) {
+            let (a, b, j) = (memo.set(s.a), memo.set(s.b), memo.set(s.joined));
+            self.sites.push((a, b, j, s.a_outer_ok, s.b_outer_ok));
+        }
+        fn finish_entry<M: MemoStore<()>>(&mut self, _: &OptContext<'_>, _: &mut M, _: EntryId) {}
+    }
+
+    impl ParallelJoinVisitor for Recorder {
+        type Worker = Recorder;
+        fn fork_level(&mut self, workers: usize) -> Vec<Recorder> {
+            (0..workers).map(|_| Recorder::default()).collect()
+        }
+        fn absorb_level(&mut self, workers: Vec<Recorder>) {
+            // One worker walks each joined set, in order, and the serial
+            // walk visits a level's sets ascending: a stable sort by joined
+            // set restores the serial order.
+            let mut level: Vec<_> = workers.into_iter().flat_map(|w| w.sites).collect();
+            level.sort_by_key(|s| s.2);
+            self.sites.extend(level);
+        }
+    }
+
+    type Site = (EntryId, EntryId, EntryId, bool, bool);
+
+    /// What a walk must reproduce: the `on_join` sequence in entry ids, the
+    /// MEMO's `(id, set)` order, `pairs` and `joins`.
+    fn walk_summary(
+        out: &EnumOutcome<()>,
+        rec: &Recorder,
+    ) -> (Vec<Site>, Vec<(EntryId, TableSet)>, u64, u64) {
+        let id = |s: TableSet| out.memo.id_of(s).expect("a visited set is in the MEMO");
+        let sites = rec
+            .sites
+            .iter()
+            .map(|&(a, b, j, ao, bo)| (id(a), id(b), id(j), ao, bo))
+            .collect();
+        let layout = out.memo.iter().map(|(i, e)| (i, e.set)).collect();
+        (sites, layout, out.pairs, out.joins)
+    }
+
+    /// Check the serial and 2-/4-thread walks against the exhaustive
+    /// reference; returns the candidates examined by the reference and by
+    /// the serial walk.
+    fn assert_walks_match_reference<M: CardinalityModel + Sync>(
+        cat: &Catalog,
+        block: &cote_query::QueryBlock,
+        cfg: &OptimizerConfig,
+        model: &M,
+        label: &str,
+    ) -> (u64, u64) {
+        let ctx = OptContext::new(cat, block, cfg);
+        let mut rv = Recorder::default();
+        let reference = enumerate_exhaustive(&ctx, model, &mut rv).expect(label);
+        let expected = walk_summary(&reference, &rv);
+        let mut serial_candidates = 0;
+        for threads in [1usize, 2, 4] {
+            let mut v = Recorder::default();
+            let out = enumerate_par(&ctx, model, &mut v, threads).expect(label);
+            assert!(
+                walk_summary(&out, &v) == expected,
+                "{label}: {threads}-thread walk differs from the exhaustive walk"
+            );
+            if threads == 1 {
+                serial_candidates = out.candidates;
+            }
+        }
+        (reference.candidates, serial_candidates)
+    }
+
+    fn spec_config(spec: &QuerySpec) -> OptimizerConfig {
+        OptimizerConfig::high(if spec.partitioned {
+            Mode::Parallel
+        } else {
+            Mode::Serial
+        })
+    }
+
+    #[test]
+    fn connected_walks_match_the_exhaustive_walk_on_generated_specs() {
+        for shape in GraphShape::ALL {
+            for tables in 2..=12 {
+                for partitioned in [false, true] {
+                    let spec = QuerySpec {
+                        shape,
+                        tables,
+                        order_by: tables % 2 == 0,
+                        group_by: tables % 3 == 0,
+                        partitioned,
+                        indexes: true,
+                        seed: 0x5EED ^ (tables as u64) << 8 ^ partitioned as u64,
+                    };
+                    let (cat, query) = spec.build();
+                    let label = format!("{spec:?}");
+                    for cfg in [spec_config(&spec), unbounded()] {
+                        let (reference, walk) = assert_walks_match_reference(
+                            &cat,
+                            &query.root,
+                            &cfg,
+                            &FullCardinality,
+                            &label,
+                        );
+                        assert!(walk <= reference, "{label}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `spec`'s query over tables of `rows[i % rows.len()]` rows each, every
+    /// column with as many distinct values as rows.
+    fn tiny_catalog(spec: &QuerySpec, rows: &[f64]) -> Catalog {
+        let mut b = if spec.partitioned {
+            Catalog::builder_parallel(NodeGroup::new(4))
+        } else {
+            Catalog::builder()
+        };
+        for i in 0..spec.effective_tables() {
+            let r = rows[i % rows.len()];
+            b.add_table(TableDef::new(
+                format!("t{i}"),
+                r,
+                vec![
+                    ColumnDef::uniform("c0", r, r),
+                    ColumnDef::uniform("c1", r, r),
+                ],
+            ));
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn levels_fall_back_exactly_when_cartesian_pairs_are_possible() {
+        // One-row tables admit Cartesian pairs from level 2 on, so every
+        // level takes the exhaustive walk. Two-row tables joined on two or
+        // more predicates shrink to one row, so later levels switch.
+        let mut whole = 0;
+        let mut mixed = 0;
+        for rows in [&[1000.0, 1.0, 1000.0][..], &[2.0]] {
+            for shape in GraphShape::ALL {
+                for tables in 2..=9 {
+                    for partitioned in [false, true] {
+                        let spec = QuerySpec {
+                            shape,
+                            tables,
+                            order_by: false,
+                            group_by: false,
+                            partitioned,
+                            indexes: false,
+                            seed: tables as u64,
+                        };
+                        let (_, query) = spec.build();
+                        let cat = tiny_catalog(&spec, rows);
+                        let cfg = spec_config(&spec);
+                        let label = format!("{spec:?} rows {rows:?}");
+                        let ctx = OptContext::new(&cat, &query.root, &cfg);
+                        let n = spec.effective_tables();
+                        let listed = CsgCmpPairs::new(&ctx.graph, n).unwrap().len() as u64;
+                        let (q, c) = (&query.root, &cfg);
+                        for (reference, walk) in [
+                            assert_walks_match_reference(&cat, q, c, &FullCardinality, &label),
+                            assert_walks_match_reference(&cat, q, c, &SimpleCardinality, &label),
+                        ] {
+                            if walk == reference && listed < reference {
+                                whole += 1;
+                            } else if listed < walk && walk < reference {
+                                mixed += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(whole > 0, "no block fell back from level 2");
+        assert!(
+            mixed > 0,
+            "no block switched to the exhaustive walk mid-way"
+        );
+    }
+
+    fn shape_block(cat: &Catalog, n: usize, shape: GraphShape) -> cote_query::QueryBlock {
+        let mut b = QueryBlockBuilder::new();
+        for i in 0..n {
+            b.add_table(TableId(i as u32));
+        }
+        let mut edges: Vec<(usize, usize)> = match shape {
+            GraphShape::Chain | GraphShape::Cycle => (1..n).map(|i| (i - 1, i)).collect(),
+            GraphShape::Star => (1..n).map(|i| (0, i)).collect(),
+            GraphShape::Clique => (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                .collect(),
+        };
+        if shape == GraphShape::Cycle && n > 2 {
+            edges.push((n - 1, 0));
+        }
+        for (i, j) in edges {
+            b.join(col(i as u8, 0), col(j as u8, 0));
+        }
+        b.build(cat).unwrap()
+    }
+
+    #[test]
+    fn walks_examine_exactly_the_connected_splits() {
+        // Closed forms for the number of csg–cmp pairs (Ono & Lohman;
+        // Moerkotte & Neumann). A walk that probed 2^k splits per set would
+        // examine more candidates than it joins pairs.
+        let cfg = unbounded();
+        let mut at_twelve = Vec::new();
+        for n in 2..=12usize {
+            let cube = n * n * n;
+            let forms = [
+                (GraphShape::Chain, (cube - n) / 6),
+                (GraphShape::Star, (n - 1) << (n - 2)),
+                (GraphShape::Cycle, (cube - 2 * n * n + n) / 2),
+                (
+                    GraphShape::Clique,
+                    (3usize.pow(n as u32) + 1 - (2 << n)) / 2,
+                ),
+            ];
+            let cat = catalog(n);
+            for (shape, expected) in forms {
+                if shape == GraphShape::Cycle && n < 3 {
+                    continue;
+                }
+                let block = shape_block(&cat, n, shape);
+                let ctx = OptContext::new(&cat, &block, &cfg);
+                let listed = CsgCmpPairs::new(&ctx.graph, n).unwrap().len();
+                assert_eq!(listed, expected, "{shape:?} n={n}: list length");
+                let out = enumerate(&ctx, &FullCardinality, &mut Counter::default()).unwrap();
+                assert_eq!(out.pairs, expected as u64, "{shape:?} n={n}: pairs");
+                assert_eq!(
+                    out.candidates, expected as u64,
+                    "{shape:?} n={n}: candidates"
+                );
+                if n == 12 || (shape == GraphShape::Clique && n == 7) {
+                    at_twelve.push(expected);
+                }
+            }
+        }
+        assert_eq!(at_twelve, [966, 286, 11264, 726, 261_625]);
     }
 }

@@ -23,7 +23,9 @@
 
 use crate::cardinality::CardinalityModel;
 use crate::context::OptContext;
-use crate::enumerator::{base_entry, dp_tables, outcome, process_mask, EnumOutcome, JoinVisitor};
+use crate::enumerator::{
+    all_splits, base_entry, dp_tables, outcome, process_mask, EnumOutcome, JoinVisitor, Tally,
+};
 use crate::memo::{EntryId, Memo};
 use cote_common::{FxHashMap, Result, TableSet};
 
@@ -34,8 +36,7 @@ struct TopDown<'a, 'c, V: JoinVisitor, M: CardinalityModel> {
     memo: Memo<V::Payload>,
     /// Memoized outcomes: the entry id, or None for unconstructible sets.
     solved: FxHashMap<u64, Option<EntryId>>,
-    pairs: u64,
-    joins: u64,
+    tally: Tally,
 }
 
 impl<V: JoinVisitor, M: CardinalityModel> TopDown<'_, '_, V, M> {
@@ -59,22 +60,19 @@ impl<V: JoinVisitor, M: CardinalityModel> TopDown<'_, '_, V, M> {
 
     fn derive(&mut self, set: TableSet) -> Option<EntryId> {
         // Goal-driven recursion: derive the inputs of every split first.
-        for a_set in set.proper_subsets() {
-            let b_set = set.difference(a_set);
-            if a_set.bits() < b_set.bits() {
-                self.solve(a_set);
-                self.solve(b_set);
-            }
+        let mask = set.bits();
+        for a in all_splits(mask) {
+            self.solve(TableSet::from_bits(a));
+            self.solve(TableSet::from_bits(mask ^ a));
         }
-        let (p, j) = process_mask(
+        self.tally += process_mask(
             self.ctx,
             self.model,
             self.visitor,
             &mut self.memo,
-            set.bits(),
+            mask,
+            all_splits(mask),
         );
-        self.pairs += p;
-        self.joins += j;
         self.memo.id_of(set)
     }
 }
@@ -96,11 +94,10 @@ pub fn enumerate_topdown<V: JoinVisitor, M: CardinalityModel>(
         visitor,
         memo: Memo::new(),
         solved: FxHashMap::default(),
-        pairs: 0,
-        joins: 0,
+        tally: Tally::default(),
     };
     td.solve(ctx.block.all_tables());
-    outcome(ctx, td.memo, td.pairs, td.joins)
+    outcome(ctx, td.memo, td.tally)
 }
 
 #[cfg(test)]

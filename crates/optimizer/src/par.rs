@@ -3,11 +3,15 @@
 //! Within one DP level every quantifier set's join inputs live at strictly
 //! smaller levels — so the MEMO prefix built by previous levels is frozen
 //! for the whole level and can be shared read-only across a scoped worker
-//! pool. Each worker processes a deterministic stripe of the level's masks
-//! against a private [`MemoShard`] overlay; at the level barrier the shards
-//! are merged back in globally ascending `set.bits()` order, reproducing the
-//! exact entry ids (and thus the exact MEMO shape, best-plan cost, and
-//! per-entry property lists) of the serial walk. See DESIGN.md §"Parallel
+//! pool. The level's table sets come from the same [`LevelSource`] as in
+//! the serial walk: the joined sets of the block's connected-pair list, or
+//! every subset on a level that falls back to the exhaustive walk. Each
+//! worker processes a deterministic stripe of those sets, each with all its
+//! splits, against a private [`MemoShard`] overlay; at the level barrier the
+//! shards are merged back in globally ascending `set.bits()` order — the
+//! order in which both sources list a level's sets — reproducing the exact
+//! entry ids (and thus the exact MEMO shape, best-plan cost, and per-entry
+//! property lists) of the serial walk. See DESIGN.md §"Parallel
 //! enumeration" for the full determinism argument.
 //!
 //! Visitors opt in through [`ParallelJoinVisitor`], which describes how to
@@ -18,8 +22,8 @@
 use crate::cardinality::CardinalityModel;
 use crate::context::OptContext;
 use crate::enumerator::{
-    base_entries, dp_tables, enumerate, level_masks, outcome, process_masks, EnumOutcome,
-    JoinVisitor,
+    base_entries, dp_tables, enumerate, outcome, process_level, EnumOutcome, JoinVisitor,
+    LevelSource, Tally,
 };
 use crate::memo::{MemoEntry, MemoShard};
 use cote_common::Result;
@@ -51,8 +55,9 @@ pub trait ParallelJoinVisitor: JoinVisitor {
     }
 }
 
-/// Don't spawn a level pool for fewer than this many masks per worker: the
-/// scoped-thread overhead would dominate and the serial path is exact anyway.
+/// Don't spawn a level pool for fewer than this many table sets per worker:
+/// the scoped-thread overhead would dominate and the serial path is exact
+/// anyway.
 const MIN_MASKS_PER_WORKER: usize = 2;
 
 struct ParInstruments {
@@ -86,7 +91,7 @@ fn instruments() -> &'static ParInstruments {
 }
 
 /// Run bottom-up DP enumeration like [`enumerate`], but partition each DP
-/// level's masks across up to `threads` scoped worker threads.
+/// level's table sets across up to `threads` scoped worker threads.
 ///
 /// The result is deterministic for any fixed `threads` and — by the shard
 /// merge rules — carries the *same* MEMO entry ids, entry cores, plan-list
@@ -108,32 +113,31 @@ where
     }
     let n = dp_tables(ctx)?;
     let mut memo = base_entries(ctx, model, visitor);
-
-    let mut pairs = 0u64;
-    let mut joins = 0u64;
+    let mut source = LevelSource::new();
+    let mut tally = Tally::default();
 
     for sz in 2..=n {
-        let masks = level_masks(n, sz);
-        let nworkers = threads.min(masks.len() / MIN_MASKS_PER_WORKER);
+        let level = source.level(ctx, &memo, sz);
+        let nmasks = level.len();
+        let nworkers = threads.min(nmasks / MIN_MASKS_PER_WORKER);
         if nworkers < 2 {
             // Degenerate level: run it serially on the main visitor. The
             // MEMO and payloads are identical either way; this only skips
             // pool setup.
-            let (p, j) = process_masks(ctx, model, visitor, &mut memo, masks);
-            pairs += p;
-            joins += j;
+            tally += process_level(ctx, model, visitor, &mut memo, &level, 0, 1);
             continue;
         }
 
         let mut span = Span::enter(phase::ENUM_PAR_LEVEL);
         span.record("level", sz as u64);
-        span.record("masks", masks.len() as u64);
+        span.record("masks", nmasks as u64);
         span.record("workers", nworkers as u64);
         let level_started = Instant::now();
 
         let workers = visitor.fork_level(nworkers);
         debug_assert_eq!(workers.len(), nworkers);
         let frozen = &memo;
+        let level = &level;
         // One scope per level: workers share `&memo` read-only for the
         // level's duration; the barrier at scope exit returns exclusive
         // access for the merge.
@@ -142,15 +146,13 @@ where
                 .into_iter()
                 .enumerate()
                 .map(|(w, mut wv)| {
-                    // Deterministic round-robin stripe: worker w takes masks
-                    // w, w+nworkers, w+2·nworkers, …
-                    let stripe: Vec<u64> =
-                        masks.iter().copied().skip(w).step_by(nworkers).collect();
+                    // Deterministic round-robin stripe: worker w takes the
+                    // level's table sets w, w+nworkers, w+2·nworkers, …
                     s.spawn(move || {
                         let busy = Instant::now();
                         let mut shard = MemoShard::new(frozen);
-                        let (p, j) = process_masks(ctx, model, &mut wv, &mut shard, stripe);
-                        (wv, shard.into_locals(), p, j, busy.elapsed())
+                        let t = process_level(ctx, model, &mut wv, &mut shard, level, w, nworkers);
+                        (wv, shard.into_locals(), t, busy.elapsed())
                     })
                 })
                 .collect();
@@ -164,15 +166,14 @@ where
         // Deterministic merge. First hand every worker back to the visitor
         // (it computes its id remapping there), then re-insert the shard
         // entries in ascending mask order — exactly the order the serial
-        // Gosper walk would have created them in, so ids match bit for bit.
+        // walk would have created them in, so ids match bit for bit.
         let merge_started = Instant::now();
         let mut busy_total = Duration::ZERO;
         let mut returned = Vec::with_capacity(nworkers);
         let mut entries: Vec<(usize, MemoEntry<V::Payload>)> = Vec::new();
-        for (w, (wv, locals, p, j, busy)) in results.into_iter().enumerate() {
+        for (w, (wv, locals, t, busy)) in results.into_iter().enumerate() {
             returned.push(wv);
-            pairs += p;
-            joins += j;
+            tally += t;
             busy_total += busy;
             entries.extend(locals.into_iter().map(|e| (w, e)));
         }
@@ -193,7 +194,7 @@ where
         span.close();
     }
 
-    outcome(ctx, memo, pairs, joins)
+    outcome(ctx, memo, tally)
 }
 
 #[cfg(test)]
